@@ -106,13 +106,6 @@ class PanelMesh:
     def a(self) -> float:
         return float(self.breaks[0])
 
-    @property
-    def b(self) -> float:
-        return float(self.breaks[-1])
-
-    def sample(self, fn) -> "PanelFunction":
-        return PanelFunction(self, fn(self.nodes))
-
     def panel_of(self, x: np.ndarray) -> np.ndarray:
         """Panel index per point; interior breakpoints belong to the right panel."""
         idx = np.searchsorted(self.breaks, x, side="right") - 1
@@ -154,42 +147,9 @@ class PanelFunction:
         w = cheb_definite_integral_weights(self.mesh.order)
         return np.sum(self.coeffs() @ w * self.mesh.half)
 
-    def derivative(self) -> "PanelFunction":
-        c = self.coeffs()
-        cd = _cheb.chebder(c.T, axis=0).T / self.mesh.half[:, None]
-        cd = np.concatenate([cd, np.zeros_like(cd[:, :1])], axis=1)
-        return PanelFunction(self.mesh, coeffs_to_vals(cd, axis=1))
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xf = np.atleast_1d(x)
-        idx = self.mesh.panel_of(xf)
-        c = self.coeffs()
-        out = np.empty(xf.shape, dtype=self.values.dtype)
-        for i in np.unique(idx):
-            sel = idx == i
-            xi = (xf[sel] - self.mesh.mid[i]) / self.mesh.half[i]
-            out[sel] = _cheb.chebval(xi, c[i])
-        return out[0] if scalar else out
-
     def end_value(self):
         return self.values[-1, -1]
 
-    def _binary(self, other, op):
-        if isinstance(other, PanelFunction):
-            if other.mesh is not self.mesh:
-                raise ValueError("operands live on different meshes")
-            return PanelFunction(self.mesh, op(self.values, other.values))
-        return PanelFunction(self.mesh, op(self.values, other))
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
+    def __mul__(self, values: np.ndarray) -> "PanelFunction":
+        """Pointwise product with values given on the same nodes."""
+        return PanelFunction(self.mesh, self.values * values)

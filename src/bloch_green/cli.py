@@ -17,8 +17,9 @@ import numpy as np
 
 from . import __version__
 from .green import green_exact, green_series
-from .potential import ParseError, PotentialError, QuadratureError, load_potential_file
-from .transfer import SeriesDivergenceError, SingularIntervalError, monodromy, classify_band
+from .potential import (ParseError, PotentialError, QuadratureError, cell_constants,
+                        load_potential_file)
+from .transfer import SeriesDivergenceError, SingularIntervalError, monodromy
 from .wop import DomainError, ExtrapolationError, GridResolutionError, expansion_coeffs
 
 COMMANDS = ("bands", "green", "expand", "compare", "selftest")
@@ -88,8 +89,7 @@ def _k_grid(config: RunConfig) -> np.ndarray:
 def _cmd_bands(config, pot, lines):
     for k in _k_grid(config):
         mono = monodromy(pot, float(k), eps=config.eps)
-        flag = classify_band(pot, float(k))
-        lines.append(",".join([_fmt(k), _fmt(mono.Y.real), str(flag),
+        lines.append(",".join([_fmt(k), _fmt(mono.Y.real), str(mono.band),
                                _fmt(mono.Z.real), _fmt(mono.Z.imag)]))
 
 
@@ -102,8 +102,6 @@ def _cmd_green(config, pot, lines):
 
 
 def _cmd_expand(config, pot, lines):
-    from .potential import cell_constants
-
     L = pot.period
     count = config.k_count
     cc = cell_constants(pot)

@@ -8,10 +8,15 @@ amplitude pair at the source point is fixed by the half-line data alone,
 and the branch-resolved Z, so no square-root branch ever needs choosing,
 and real k needs no extrapolation beyond the Z limit rule itself.
 
+The one-period data come from `monodromy` (Z and the band class of a real
+k, decided once per call) and from the half-line S formulas of `halfline`
+evaluated on the one-period matrix based at y.
+
 The textbook assembly - exponentiate the line integral of S along [y, x]
-over a square-root endpoint factor - is kept as a cross-check route.  It
-is branch-ambiguous in the gaps and its integrand develops near-poles
-close to band edges, which is why it is not the primary path.
+over a square-root endpoint factor - lives in the test suite as a
+cross-check route.  It is branch-ambiguous in the gaps and its integrand
+develops near-poles close to band edges, which is why it is not the
+primary path.
 
 The low-energy series expands that same assembly in t = ik around k = 0,
 where no branch question arises: 2ik G = E(t) exp(q_1 t + q_3 t^3 + ...)
@@ -27,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .halfline import _s_values
 from .iterint import bracket, cell_Q
 from .potential import CellConstants, PeriodicPotential, cell_constants
-from .transfer import (DEFAULT_RTOL, BandClass, branch_Z, classify_band,
-                       evolve, monodromy, propagator_scan)
+from .transfer import DEFAULT_RTOL, BandClass, branch_Z, evolve, monodromy
 from .wop import expansion_coeffs
 
 __all__ = [
@@ -126,23 +131,6 @@ def _gauss_panels(pot, y: float, x: float, order: int, max_panel: float):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _reduce_to_cell(pot, z: np.ndarray) -> np.ndarray:
-    """Map points into the window (offset, offset + L]."""
-    L = pot.period
-    r = np.mod(z - pot.offset, L)
-    r = np.where(r == 0.0, L, r)
-    return pot.offset + r
-
-
-def _endpoint_sl_s(pot, y: float, kc: complex, Z: complex, rtol: float):
-    """S_l(y, k) and S(y, k) from the one-period matrix based at y."""
-    U = evolve(pot, y, y - pot.period, kc, rtol)
-    da = U.alpha_plus - U.alpha_minus
-    sl = -2.0 * U.beta_minus / (da - 2.0 * U.beta_minus - 2j * Z)
-    s_full = 1.0 + 2j * Z / (da + U.beta_plus - U.beta_minus)
-    return sl, s_full
-
-
 def _green_at(pot, x: float, y: float, kc: complex, Z: complex,
               rtol: float) -> complex:
     """Green function by propagating the right-decaying solution.
@@ -152,7 +140,8 @@ def _green_at(pot, x: float, y: float, kc: complex, Z: complex,
     at x over the Wronskian.  Rational in the matrix elements and Z, so
     the branch is carried entirely by Z.
     """
-    sl_y, s_y = _endpoint_sl_s(pot, y, kc, Z, rtol)
+    U = evolve(pot, y, y - pot.period, kc, rtol)
+    _, sl_y, s_y = _s_values(U, Z, y, kc)
     denom = 2j * kc * (1.0 - s_y)
     if denom == 0:
         raise ArithmeticError(f"degenerate Wronskian at k = {kc} (band edge)")
@@ -162,38 +151,6 @@ def _green_at(pot, x: float, y: float, kc: complex, Z: complex,
     chi = ((U.alpha_plus + U.beta_plus) * sl_y
            + (U.beta_minus + U.alpha_minus) * (1.0 - sl_y))
     return chi / denom
-
-
-def _green_by_line_integral(pot, x: float, y: float, kc: complex, Z: complex,
-                            quad_order: int, rtol: float) -> complex:
-    """Cross-check route: exp(ik(x-y) - ik * integral of S) over the
-    square-root endpoint factor, with per-factor principal roots.
-
-    The principal roots agree with the true branch away from gaps and
-    edges; the primary route does not have this caveat.
-    """
-    if x > y:
-        nodes, weights = _gauss_panels(pot, y, x, quad_order, pot.period / 2.0)
-        pts = np.concatenate([nodes, [x, y]])
-    else:
-        weights = np.zeros(0)
-        nodes = np.zeros(0)
-        pts = np.array([x, y])
-    red = _reduce_to_cell(pot, pts)
-    uniq, inverse = np.unique(red, return_inverse=True)
-    E, M = propagator_scan(pot, kc, uniq, rtol)
-    Einv = np.empty_like(E)
-    Einv[:, 0, 0] = E[:, 1, 1]
-    Einv[:, 1, 1] = E[:, 0, 0]
-    Einv[:, 0, 1] = -E[:, 0, 1]
-    Einv[:, 1, 0] = -E[:, 1, 0]
-    U = E @ M @ Einv
-    da = U[:, 0, 0] - U[:, 1, 1]
-    svals = (1.0 + 2j * Z / (da + U[:, 1, 0] - U[:, 0, 1]))[inverse]
-    line = np.dot(weights, svals[: nodes.size]) if weights.size else 0.0
-    phase = cmath.exp(1j * kc * (x - y) - 1j * kc * line)
-    root = cmath.sqrt(1.0 - svals[-2]) * cmath.sqrt(1.0 - svals[-1])
-    return phase / (2j * kc * root)
 
 
 def green_exact(pot: PeriodicPotential, x: float, y: float, k: complex,
@@ -214,13 +171,10 @@ def green_exact(pot: PeriodicPotential, x: float, y: float, k: complex,
     y = float(y)
     if x < y:
         x, y = y, x
-    band = None
-    if k.imag == 0:
-        band = classify_band(pot, k.real, rtol=rtol)
     mono = monodromy(pot, k, eps=eps, rtol=rtol)
     gs = _green_at(pot, x, y, k, mono.Z, rtol)
     gf = math.exp(-0.5 * (pot.V(x) - pot.V(y))) * gs
-    return GreenValue(G_S=gs, G_F=gf, x=x, y=y, k=k, band_class=band)
+    return GreenValue(G_S=gs, G_F=gf, x=x, y=y, k=k, band_class=mono.band)
 
 
 def square_well_oracle(p: SquareWellParams, x: float, y: float, k: complex,

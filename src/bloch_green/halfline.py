@@ -1,17 +1,21 @@
 """Semi-infinite reflection coefficients, S-functions and Weyl-Titchmarsh
 functions, all built from one-period evolution data.
 
-With the one-period matrix based at x and the branch-resolved Z, the
-half-line reflection coefficients are Mobius images of the period data;
-S_r, S_l and S = S_r + S_l then follow in closed form, and the m-functions
-are affine images of S_r, S_l shifted by the local drift.
+Each public function propagates the one-period matrix U(x, x - L; k) once
+and takes the monodromy (Y, the branch-resolved Z and the band class) once.
+The half-line reflection coefficients are Mobius images of that data;
+S_r, S_l and S = S_r + S_l follow in closed form, and the m-functions are
+affine images of S_r, S_l shifted by the local drift.  The R, S and m
+formulas are written once here; the exact Green function reuses the S
+formulas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .transfer import DEFAULT_RTOL, SingularIntervalError, evolve, monodromy
+from .transfer import (DEFAULT_RTOL, BandClass, SingularIntervalError, evolve,
+                       monodromy)
 
 __all__ = [
     "HalflineState",
@@ -20,8 +24,6 @@ __all__ = [
     "m_functions",
     "halfline_state",
 ]
-
-EDGE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -39,9 +41,38 @@ class HalflineState:
 
 
 def _period_data(pot, x, k, eps, rtol):
-    U = evolve(pot, x, x - pot.period, k, rtol)
-    mono = monodromy(pot, k, eps=eps, rtol=rtol)
-    return U, mono
+    """(U(x, x - L; k), monodromy at k): everything the formulas below need."""
+    return evolve(pot, x, x - pot.period, k, rtol), monodromy(pot, k, eps=eps, rtol=rtol)
+
+
+def _reflection(U, mono, k):
+    denom = 1.0 / mono.lam - U.alpha_plus
+    scale = max(1.0, abs(U.alpha_plus))
+    if abs(denom) < 1e-12 * scale:
+        raise SingularIntervalError(
+            f"1/lambda - alpha(k) vanished at k = {k}; band-edge degeneracy")
+    return -U.beta_plus / denom, U.beta_minus / denom
+
+
+def _s_values(U, Z, x, k):
+    """(S_r, S_l, S) from the one-period matrix based at x and Z."""
+    da = U.alpha_plus - U.alpha_minus
+    denom = da + U.beta_plus - U.beta_minus
+    scale = max(1.0, abs(U.alpha_plus) + abs(U.beta_plus))
+    if abs(denom) < 1e-14 * scale:
+        raise SingularIntervalError(
+            f"S-function denominator vanished at x = {x}, k = {k}")
+    two_iz = 2j * Z
+    Sr = 2.0 * U.beta_plus / (da + 2.0 * U.beta_plus - two_iz)
+    Sl = -2.0 * U.beta_minus / (da - 2.0 * U.beta_minus - two_iz)
+    S = 1.0 + two_iz / denom
+    return Sr, Sl, S
+
+
+def _m_values(Sr, Sl, k, f):
+    """(m_plus, m_minus) from S_r, S_l and the drift f at x."""
+    ik = 1j * k
+    return ik - 2.0 * ik * Sl + f, ik - 2.0 * ik * Sr - f
 
 
 def reflect_halfline(pot, x: float, k: complex, eps: float | None = None,
@@ -51,31 +82,17 @@ def reflect_halfline(pot, x: float, k: complex, eps: float | None = None,
     Well defined for Im k > 0; real k values are boundary limits from the
     upper half plane, inherited through the Z branch rule.
     """
-    U, mono = _period_data(pot, x, complex(k), eps, rtol)
-    denom = 1.0 / mono.lam - U.alpha_plus
-    scale = max(1.0, abs(U.alpha_plus))
-    if abs(denom) < 1e-12 * scale:
-        raise SingularIntervalError(
-            f"1/lambda - alpha(k) vanished at k = {k}; band-edge degeneracy")
-    return -U.beta_plus / denom, U.beta_minus / denom
+    k = complex(k)
+    U, mono = _period_data(pot, x, k, eps, rtol)
+    return _reflection(U, mono, k)
 
 
 def s_functions(pot, x: float, k: complex, eps: float | None = None,
                 rtol: float = DEFAULT_RTOL):
     """(S_r, S_l, S) at position x from the one-period closed forms."""
-    U, mono = _period_data(pot, x, complex(k), eps, rtol)
-    da = U.alpha_plus - U.alpha_minus
-    db = U.beta_plus - U.beta_minus
-    denom = da + db
-    scale = max(1.0, abs(U.alpha_plus) + abs(U.beta_plus))
-    if abs(denom) < 1e-14 * scale:
-        raise SingularIntervalError(
-            f"S-function denominator vanished at x = {x}, k = {k}")
-    two_iz = 2j * mono.Z
-    Sr = 2.0 * U.beta_plus / (da + 2.0 * U.beta_plus - two_iz)
-    Sl = -2.0 * U.beta_minus / (da - 2.0 * U.beta_minus - two_iz)
-    S = 1.0 + two_iz / denom
-    return Sr, Sl, S
+    k = complex(k)
+    U, mono = _period_data(pot, x, k, eps, rtol)
+    return _s_values(U, mono.Z, x, k)
 
 
 def m_functions(pot, x: float, k: complex, eps: float | None = None,
@@ -86,11 +103,10 @@ def m_functions(pot, x: float, k: complex, eps: float | None = None,
         raise ValueError(
             f"x = {x} is a jump point of the potential; the drift (and hence "
             "the m-functions) is undefined there")
-    Sr, Sl, _ = s_functions(pot, x, complex(k), eps, rtol)
-    ik = 1j * complex(k)
-    m_minus = ik - 2.0 * ik * Sr - pe.f
-    m_plus = ik - 2.0 * ik * Sl + pe.f
-    return m_plus, m_minus
+    k = complex(k)
+    U, mono = _period_data(pot, x, k, eps, rtol)
+    Sr, Sl, _ = _s_values(U, mono.Z, x, k)
+    return _m_values(Sr, Sl, k, pe.f)
 
 
 def halfline_state(pot, x: float, k: complex, eps: float | None = None,
@@ -98,21 +114,15 @@ def halfline_state(pot, x: float, k: complex, eps: float | None = None,
     """All half-line quantities at (x, k) in one bundle.
 
     m-functions are set to None when x is a jump point.  The edge flag is
-    raised when Y is within EDGE_TOL of +-1, where the boundary values
-    degenerate.
+    raised when a real k is classified as a band edge (`monodromy`'s band
+    class), where the boundary values degenerate.
     """
     k = complex(k)
     U, mono = _period_data(pot, x, k, eps, rtol)
-    edge = abs(1.0 - mono.Y * mono.Y) < EDGE_TOL
-    Rr, Rl = reflect_halfline(pot, x, k, eps, rtol)
-    Sr, Sl, S = s_functions(pot, x, k, eps, rtol)
+    Rr, Rl = _reflection(U, mono, k)
+    Sr, Sl, S = _s_values(U, mono.Z, x, k)
     pe = pot.eval(x)
-    if pe.has_jump:
-        m_plus = m_minus = None
-    else:
-        ik = 1j * k
-        m_minus = ik - 2.0 * ik * Sr - pe.f
-        m_plus = ik - 2.0 * ik * Sl + pe.f
+    m_plus, m_minus = (None, None) if pe.has_jump else _m_values(Sr, Sl, k, pe.f)
     return HalflineState(Rr_inf=Rr, Rl_inf=Rl, Sr=Sr, Sl=Sl, S=S,
                          m_plus=m_plus, m_minus=m_minus, x=float(x), k=k,
-                         edge=bool(edge))
+                         edge=mono.band is BandClass.EDGE)

@@ -65,15 +65,19 @@ def insertions(word, sigma: int):
     return [SignWord(w[:i] + (sigma,) + w[i:]) for i in range(len(w) + 1)]
 
 
-def _eval_word(pot, signs, a, b, order):
+def _nested_pass(pot, signs, a, b, order) -> np.ndarray:
+    """End values of the nested integrals J_1 .. J_n of the word `signs` over
+    [a, b], one antiderivative pass per letter on one panel mesh."""
     mesh = pot.mesh(a, b, order, max_panel=pot.period)
     v = pot.V_on_mesh(mesh)
     weights = {1: np.exp(v), -1: np.exp(-v)}
+    out = np.empty(len(signs))
     J = None
-    for s in signs:
+    for m, s in enumerate(signs):
         cur = PanelFunction(mesh, weights[s]) if J is None else J * weights[s]
         J = cur.antiderivative()
-    return float(J.end_value())
+        out[m] = float(J.end_value())
+    return out
 
 
 def bracket(pot, word, a: float, b: float, tol: float = 1e-12) -> float:
@@ -92,7 +96,7 @@ def bracket(pot, word, a: float, b: float, tol: float = 1e-12) -> float:
     prev = None
     val = None
     for order in _ORDERS:
-        val = _eval_word(pot, w.signs, a, b, order)
+        val = float(_nested_pass(pot, w.signs, a, b, order)[-1])
         if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
             break
         prev = val
@@ -102,11 +106,6 @@ def bracket(pot, word, a: float, b: float, tol: float = 1e-12) -> float:
     with _cache_lock:
         _cache[key] = val
     return val
-
-
-def clear_cache():
-    with _cache_lock:
-        _cache.clear()
 
 
 def cell_Q(pot, tol: float = 1e-12) -> float:
@@ -132,18 +131,7 @@ def alternating_tail_values(pot, a: float, b: float, first_sign: int, count: int
     """
     if b < a:
         raise ValueError("need a <= b")
-    out = np.empty(count)
     if b == a:
-        out.fill(0.0)
-        return out
-    mesh = pot.mesh(a, b, order, max_panel=pot.period)
-    v = pot.V_on_mesh(mesh)
-    weights = {1: np.exp(v), -1: np.exp(-v)}
-    J = None
-    sign = first_sign
-    for m in range(count):
-        cur = PanelFunction(mesh, weights[sign]) if J is None else J * weights[sign]
-        J = cur.antiderivative()
-        out[m] = float(J.end_value())
-        sign = -sign
-    return out
+        return np.zeros(count)
+    signs = [first_sign if m % 2 == 0 else -first_sign for m in range(count)]
+    return _nested_pass(pot, signs, a, b, order)

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._spectral import PanelMesh
+from ._spectral import PanelFunction, PanelMesh
 
 __all__ = [
     "PotentialError",
@@ -64,10 +65,6 @@ class ConstSegment:
         return np.zeros(np.shape(s)) if np.ndim(s) else 0.0
 
     @property
-    def is_const(self):
-        return True
-
-    @property
     def knots(self):
         return ()
 
@@ -88,10 +85,6 @@ class LinearSegment:
 
     def curvature(self, s):
         return np.zeros(np.shape(s)) if np.ndim(s) else 0.0
-
-    @property
-    def is_const(self):
-        return self.v_start == self.v_end
 
     @property
     def knots(self):
@@ -116,10 +109,6 @@ class CosineSegment:
 
     def curvature(self, s):
         return -self.amp * (2.0 * np.pi / self.length) ** 2 * np.cos(self._arg(s))
-
-    @property
-    def is_const(self):
-        return self.amp == 0.0
 
     @property
     def knots(self):
@@ -151,10 +140,6 @@ class TableSegment:
 
     def curvature(self, s):
         return self._interp.derivative(2)(np.asarray(s))
-
-    @property
-    def is_const(self):
-        return False
 
     @property
     def knots(self):
@@ -230,7 +215,9 @@ class PeriodicPotential:
 
     # -- evaluation ----------------------------------------------------------
 
-    def V(self, x):
+    def _per_segment(self, x, fn):
+        """fn(segment, local coordinates) evaluated at x, reduced to the cell
+        and dispatched to the owning segment; scalar in, scalar out."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         xi = np.fmod(x - self.offset, self.period)
@@ -241,41 +228,24 @@ class PeriodicPotential:
         flat_xi = np.atleast_1d(xi)
         for i in np.unique(idx):
             sel = idx == i
-            out[sel] = self.segments[i].value(flat_xi[sel] - self.starts[i])
+            out[sel] = fn(self.segments[i], flat_xi[sel] - self.starts[i])
         return float(out[0]) if scalar else out.reshape(np.shape(x))
+
+    def V(self, x):
+        return self._per_segment(x, lambda seg, s: seg.value(s))
 
     def f(self, x):
         """Drift -V'/2; the classical derivative inside segments."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xi = np.fmod(x - self.offset, self.period)
-        xi = np.where(xi < 0.0, xi + self.period, xi)
-        idx = np.clip(np.searchsorted(self.starts, np.atleast_1d(xi), side="right") - 1,
-                      0, len(self.segments) - 1)
-        out = np.empty(idx.shape, dtype=float)
-        flat_xi = np.atleast_1d(xi)
-        for i in np.unique(idx):
-            sel = idx == i
-            out[sel] = -0.5 * np.asarray(self.segments[i].slope(flat_xi[sel] - self.starts[i]))
-        return float(out[0]) if scalar else out.reshape(np.shape(x))
+        return self._per_segment(x, lambda seg, s: -0.5 * np.asarray(seg.slope(s)))
 
     def schrodinger_potential(self, x):
         """f^2 + f'; only meaningful away from jump points."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xi = np.fmod(x - self.offset, self.period)
-        xi = np.where(xi < 0.0, xi + self.period, xi)
-        idx = np.clip(np.searchsorted(self.starts, np.atleast_1d(xi), side="right") - 1,
-                      0, len(self.segments) - 1)
-        out = np.empty(idx.shape, dtype=float)
-        flat_xi = np.atleast_1d(xi)
-        for i in np.unique(idx):
-            sel = idx == i
-            s = flat_xi[sel] - self.starts[i]
-            fv = -0.5 * np.asarray(self.segments[i].slope(s))
-            fp = -0.5 * np.asarray(self.segments[i].curvature(s))
-            out[sel] = fv * fv + fp
-        return float(out[0]) if scalar else out.reshape(np.shape(x))
+        def fn(seg, s):
+            fv = -0.5 * np.asarray(seg.slope(s))
+            fp = -0.5 * np.asarray(seg.curvature(s))
+            return fv * fv + fp
+
+        return self._per_segment(x, fn)
 
     def eval(self, x: float) -> PointEval:
         xi = self._reduce(x)
@@ -293,19 +263,23 @@ class PeriodicPotential:
         """Segment boundaries p with a < p <= b, as sorted (position, jump) pairs."""
         if b < a:
             raise ValueError("need a <= b")
-        out = []
-        for start, delta in zip(self.starts, self._jumps):
-            p0 = self.offset + start
-            jlo = math.ceil((a - p0) / self.period)
-            p = p0 + jlo * self.period
-            while p <= a:  # enforce strict a < p against rounding
-                jlo += 1
-                p = p0 + jlo * self.period
-            while p <= b:
-                out.append((p, float(delta)))
-                jlo += 1
-                p = p0 + jlo * self.period
+        out = [(p, float(delta)) for start, delta in zip(self.starts, self._jumps)
+               for p in self._translates(self.offset + start, a, b)]
         out.sort(key=lambda t: t[0])
+        return out
+
+    def _translates(self, p0: float, a: float, b: float) -> list:
+        """The points p0 + j*L with a < p <= b."""
+        j = math.ceil((a - p0) / self.period)
+        p = p0 + j * self.period
+        while p <= a:  # enforce strict a < p against rounding
+            j += 1
+            p = p0 + j * self.period
+        out = []
+        while p <= b:
+            out.append(p)
+            j += 1
+            p = p0 + j * self.period
         return out
 
     def breakpoints(self, a: float, b: float) -> np.ndarray:
@@ -315,16 +289,8 @@ class PeriodicPotential:
         pts.extend(p for p, _ in self.boundaries_in(a, b) if a < p < b)
         for start, seg in zip(self.starts, self.segments):
             for knot in seg.knots:
-                p0 = self.offset + start + knot
-                jlo = math.ceil((a - p0) / self.period)
-                p = p0 + jlo * self.period
-                while p <= a:
-                    jlo += 1
-                    p = p0 + jlo * self.period
-                while p < b:
-                    pts.append(p)
-                    jlo += 1
-                    p = p0 + jlo * self.period
+                pts.extend(p for p in self._translates(self.offset + start + knot, a, b)
+                           if p < b)
         pts = np.array(sorted(set(pts)))
         keep = np.concatenate(([True], np.diff(pts) > 1e-13 * max(1.0, self.period)))
         return pts[keep]
@@ -357,10 +323,6 @@ class PeriodicPotential:
             seg, seg_start = self.segment_at(mesh.mid[i])
             out[i] = getattr(seg, which)(mesh.nodes[i] - seg_start)
         return out
-
-    @property
-    def is_piecewise_const(self) -> bool:
-        return all(s.is_const for s in self.segments)
 
 
 def square_potential(height: float, period: float, well_width: float) -> PeriodicPotential:
@@ -406,8 +368,6 @@ def load_potential(text: str, base_dir: str = ".") -> PeriodicPotential:
     with kinds const(V,len), linear(V0,V1,len), cosine(amp[,phase],len),
     table(file,len).  `#` starts a comment.
     """
-    import os
-
     period = None
     offset = None
     segments = []
@@ -491,8 +451,6 @@ def load_potential(text: str, base_dir: str = ".") -> PeriodicPotential:
 
 
 def load_potential_file(path: str) -> PeriodicPotential:
-    import os
-
     with open(path, "r", encoding="utf-8") as fh:
         return load_potential(fh.read(), base_dir=os.path.dirname(os.path.abspath(path)))
 
@@ -513,8 +471,6 @@ class CellConstants:
 def _cell_integral(pot: PeriodicPotential, weight_sign: int, x_top: float, tol: float) -> float:
     """integral of e^{sign*V} over [x_top - L, x_top] with order refinement."""
     a = x_top - pot.period
-    from ._spectral import PanelFunction
-
     prev = None
     for order in (16, 24, 36, 54):
         mesh = pot.mesh(a, x_top, order, max_panel=pot.period / 2)

@@ -36,12 +36,11 @@ __all__ = [
     "monodromy",
     "classify_band",
     "branch_Z",
-    "propagator_scan",
 ]
 
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-14
-GAP_SWITCH = 1e-9  # use the closed-form gap branch when Y^2 - 1 exceeds this
+EDGE_TOL = 1e-10  # a real k with |Y^2 - 1| <= EDGE_TOL is a band edge
 
 
 class SingularIntervalError(ArithmeticError):
@@ -114,12 +113,14 @@ class GeneralizedScattering:
 @dataclass(frozen=True)
 class Monodromy:
     """One-period data: Y is the half-trace, Z the branch-resolved sqrt(1-Y^2),
-    lambda = Y - iZ the large Floquet multiplier, gamma = 1/lambda^2."""
+    lambda = Y - iZ the large Floquet multiplier, gamma = 1/lambda^2.
+    band is the band/gap/edge class of a real k (None off the real axis)."""
     Y: complex
     Z: complex
     lam: complex
     gamma: complex
     k: complex
+    band: BandClass | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +228,7 @@ def _matrix_power(U: np.ndarray, n: int) -> np.ndarray:
 def _near_jump(pot, t: float, rel: float = 1e-9) -> bool:
     """Whether t sits within rounding reach of a segment-boundary translate."""
     L = pot.period
-    xi = math.fmod(t - pot.offset, L)
-    if xi < 0.0:
-        xi += L
+    xi = pot._reduce(t)
     tol = rel * L
     for start in pot.starts:
         d = abs(xi - start)
@@ -314,21 +313,23 @@ def _uhp_Z(Y: complex) -> complex:
     return -s
 
 
-def branch_Z(Y_of_k, k: complex, eps: float | None = None) -> complex:
-    """sqrt(1 - Y^2) with the large-multiplier branch.
+def _classify(Y: float, tol: float = EDGE_TOL) -> BandClass:
+    """Band/gap/edge class of a real k from its real half-trace Y."""
+    y2 = Y ** 2
+    if y2 < 1.0 - tol:
+        return BandClass.BAND
+    if y2 > 1.0 + tol:
+        return BandClass.GAP
+    return BandClass.EDGE
 
-    For Im k > 0 the branch is fixed by |lambda| > 1.  On the real axis the
-    value is the boundary limit from above: inside gaps it has the closed
-    form i*sign(Y)*sqrt(Y^2-1); inside bands it is obtained by evaluating at
-    k + i*eps for two eps values and extrapolating linearly to eps = 0.
-    """
-    k = complex(k)
+
+def _branch_Z(Y_of_k, k: complex, Y: complex, band: BandClass | None,
+              eps: float | None) -> complex:
+    """Z at k from Y = Y_of_k(k) and, for real k, its class."""
     if k.imag > 0:
-        return _uhp_Z(Y_of_k(k))
-    if k.imag < 0:
-        raise ValueError("defined for Im k >= 0 only")
-    Y = complex(Y_of_k(k)).real
-    if Y * Y > 1.0 + GAP_SWITCH:
+        return _uhp_Z(Y)
+    Y = Y.real
+    if band is BandClass.GAP:
         return 1j * math.copysign(1.0, Y) * math.sqrt(Y * Y - 1.0)
     if eps is None:
         eps = 1e-7 * max(1.0, abs(k))
@@ -341,36 +342,54 @@ def branch_Z(Y_of_k, k: complex, eps: float | None = None) -> complex:
     return complex(math.copysign(s, z_lim.real))
 
 
+def branch_Z(Y_of_k, k: complex, eps: float | None = None) -> complex:
+    """sqrt(1 - Y^2) with the large-multiplier branch.
+
+    For Im k > 0 the branch is fixed by |lambda| > 1.  On the real axis the
+    value is the boundary limit from above: inside gaps it has the closed
+    form i*sign(Y)*sqrt(Y^2-1); inside bands and at edges it is obtained by
+    evaluating at k + i*eps for two eps values and extrapolating linearly
+    to eps = 0.
+    """
+    k = complex(k)
+    if k.imag < 0:
+        raise ValueError("defined for Im k >= 0 only")
+    Y = complex(Y_of_k(k))
+    band = _classify(Y.real) if k.imag == 0 else None
+    return _branch_Z(Y_of_k, k, Y, band, eps)
+
+
+def _cell_Y(pot, k: complex, rtol: float) -> complex:
+    """Half-trace of the one-period matrix over the cell [offset, offset + L]."""
+    U = evolve(pot, pot.offset + pot.period, pot.offset, k, rtol)
+    return 0.5 * (U.alpha_plus + U.alpha_minus)
+
+
 def monodromy(pot, k: complex, eps: float | None = None,
               rtol: float = DEFAULT_RTOL) -> Monodromy:
-    """One-period eigenvalue data at the cell origin (Y is base-independent)."""
+    """One-period eigenvalue data (Y is base-independent), with the band
+    class of a real k."""
     k = complex(k)
-    x0 = pot.offset + pot.period
+    if k.imag < 0:
+        raise ValueError("defined for Im k >= 0 only")
 
     def Y_of_k(kk):
-        U = evolve(pot, x0, x0 - pot.period, kk, rtol)
-        return 0.5 * (U.alpha_plus + U.alpha_minus)
+        return _cell_Y(pot, kk, rtol)
 
     Y = Y_of_k(k)
+    band = None
     if k.imag == 0:
         Y = complex(Y.real)
-    Z = branch_Z(Y_of_k, k, eps)
+        band = _classify(Y.real)
+    Z = _branch_Z(Y_of_k, k, Y, band, eps)
     lam = Y - 1j * Z
-    return Monodromy(Y=Y, Z=Z, lam=lam, gamma=1.0 / (lam * lam), k=k)
+    return Monodromy(Y=Y, Z=Z, lam=lam, gamma=1.0 / (lam * lam), k=k, band=band)
 
 
-def classify_band(pot, k: float, tol: float = 1e-10,
+def classify_band(pot, k: float, tol: float = EDGE_TOL,
                   rtol: float = DEFAULT_RTOL) -> BandClass:
     """Band/gap/edge classification of a real wavenumber from Y^2 vs 1."""
-    k = float(k)
-    x0 = pot.offset + pot.period
-    U = evolve(pot, x0, x0 - pot.period, k, rtol)
-    y2 = (0.5 * (U.alpha_plus + U.alpha_minus).real) ** 2
-    if y2 < 1.0 - tol:
-        return BandClass.BAND
-    if y2 > 1.0 + tol:
-        return BandClass.GAP
-    return BandClass.EDGE
+    return _classify(_cell_Y(pot, float(k), rtol).real, tol)
 
 
 def series_evolution(pot, x: float, xprime: float, k: complex,
@@ -431,70 +450,3 @@ def series_evolution(pot, x: float, xprime: float, k: complex,
                 return out
         prev = out
     return prev
-
-
-def _piece_scan(pot, a: float, b: float, k: complex, U0: np.ndarray,
-                targets: np.ndarray, rtol: float):
-    """Propagate U0 from a to b inside one segment, recording U at each
-    target point (sorted, strictly inside (a, b)).  Returns (records, U_b)."""
-    seg, _ = pot.segment_at(0.5 * (a + b))
-    if seg.kind in ("const", "linear"):
-        f = 0.0 if seg.kind == "const" else -0.5 * float(seg.slope(0.0))
-        d = np.concatenate([targets, [b]]) - a
-        mu = cmath.sqrt(f * f - k * k)
-        if abs(mu) * (b - a) < 1e-8:
-            ch = 1.0 + (f * f - k * k) * d * d / 2.0
-            shm = d * (1.0 + (f * f - k * k) * d * d / 6.0)
-        else:
-            ch = np.cosh(mu * d)
-            shm = np.sinh(mu * d) / mu
-        ik = 1j * k
-        # rows of exp(d*A) @ U0 for each distance
-        out = np.empty((d.size, 2, 2), dtype=complex)
-        out[:, 0, 0] = (ch - ik * shm) * U0[0, 0] + f * shm * U0[1, 0]
-        out[:, 0, 1] = (ch - ik * shm) * U0[0, 1] + f * shm * U0[1, 1]
-        out[:, 1, 0] = f * shm * U0[0, 0] + (ch + ik * shm) * U0[1, 0]
-        out[:, 1, 1] = f * shm * U0[0, 1] + (ch + ik * shm) * U0[1, 1]
-        return out[:-1], out[-1]
-    t_eval = np.concatenate([targets, [b]])
-    y = _ode_piece(pot, a, b, k, U0, rtol, t_eval=t_eval)
-    y = np.moveaxis(y, 2, 0)
-    return y[:-1], y[-1]
-
-
-def propagator_scan(pot, k: complex, zs, rtol: float = DEFAULT_RTOL):
-    """Propagators from the bottom of the cell to each requested point.
-
-    zs must be sorted points inside (x0 - L, x0] with x0 = offset + period.
-    Returns (E, M) where E[i] = U(zs[i], x0 - L; k) and M = U(x0, x0 - L; k).
-    One-period matrices anywhere in the cell follow by similarity:
-    U(z, z - L) = E(z) @ M @ E(z)^{-1}.
-    """
-    k = complex(k)
-    x0 = pot.offset + pot.period
-    lo = x0 - pot.period
-    zs = np.asarray(zs, dtype=float)
-    if zs.size and (np.any(np.diff(zs) < 0) or zs[0] <= lo or zs[-1] > x0):
-        raise ValueError("scan points must be sorted inside (x0 - L, x0]")
-
-    stops = pot.boundaries_in(lo, x0)
-    if not stops or stops[-1][0] < x0:
-        stops = stops + [(x0, 0.0)]
-
-    E = np.empty((zs.size, 2, 2), dtype=complex)
-    U = np.eye(2, dtype=complex)
-    cur = lo
-    zi = 0
-    for pos, delta in stops:
-        hi = int(np.searchsorted(zs, pos, side="left"))
-        if pos > cur:
-            records, U = _piece_scan(pot, cur, pos, k, U, zs[zi:hi], rtol)
-            E[zi:hi] = records
-            zi = hi
-            cur = pos
-        if delta != 0.0:
-            U = _jump_matrix(delta) @ U
-        while zi < zs.size and zs[zi] == pos:
-            E[zi] = U
-            zi += 1
-    return E, U

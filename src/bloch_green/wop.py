@@ -75,14 +75,15 @@ class WopGrid:
         self.mesh = pot.mesh(self.x_top - L, self.x_top, x_order, max_panel=L / 3.0)
         self.v_nodes = pot.V_on_mesh(self.mesh)          # (npanels, x_order+1)
         self._ccw = cheb_definite_integral_weights(self.mesh.order)
-        ep = self._panel_antiderivative(np.exp(self.v_nodes)[:, :, None])[:, :, 0]
-        em = self._panel_antiderivative(np.exp(-self.v_nodes)[:, :, None])[:, :, 0]
+        ep = self.x_antiderivative(np.exp(self.v_nodes)[:, :, None])[:, :, 0]
+        em = self.x_antiderivative(np.exp(-self.v_nodes)[:, :, None])[:, :, 0]
         self.cum_plus = ep                               # integral of e^{V} from x0-L
         self.cum_minus = em
 
     # -- x-axis calculus on (npanels, nx, nW) value arrays --------------------
 
-    def _panel_antiderivative(self, values: np.ndarray) -> np.ndarray:
+    def x_antiderivative(self, values: np.ndarray) -> np.ndarray:
+        """Cumulative integral in x from the bottom of the cell."""
         c = vals_to_coeffs(values, axis=1)
         ci = _np_cheb.chebint(np.moveaxis(c, 1, 0), lbnd=-1)
         vals = np.moveaxis(_np_cheb.chebval(lobatto_nodes(self.mesh.order), ci), -1, 1)
@@ -90,10 +91,6 @@ class WopGrid:
         ends = vals[:, -1, :]
         offsets = np.concatenate([np.zeros_like(ends[:1]), np.cumsum(ends, axis=0)[:-1]])
         return vals + offsets[:, None, :]
-
-    def x_antiderivative(self, values: np.ndarray) -> np.ndarray:
-        """Cumulative integral in x from the bottom of the cell."""
-        return self._panel_antiderivative(values)
 
     def x_cell_integral(self, values: np.ndarray) -> np.ndarray:
         c = vals_to_coeffs(values, axis=1)
@@ -116,11 +113,6 @@ class WopGrid:
         cd = _np_cheb.chebder(np.moveaxis(c, -1, 0)) / self.w_half
         cd = np.concatenate([cd, np.zeros_like(cd[:1])], axis=0)
         return np.moveaxis(coeffs_to_vals(cd, axis=0), 0, -1)
-
-    def w_eval(self, values: np.ndarray, w: float):
-        xi = (w - self.w_center) / self.w_half
-        c = np.moveaxis(self.w_coeffs(values), -1, 0)
-        return _np_cheb.chebval(xi, c)
 
     def ratio_D(self, fw: np.ndarray) -> np.ndarray:
         """(F(W) - F(V0)) / sinh(W - V0) on the W nodes, for F given on them."""
@@ -377,6 +369,7 @@ def _taylor_coeffs_a(pot, x: float, N: int, cc: CellConstants,
     from trapezoid quadrature on a circle in the ik plane.  The multiplier
     branch inside the disk is fixed by continuity with Z ~ k L0.
     """
+    from .halfline import _s_values
     from .transfer import evolve
 
     if rho is None:
@@ -391,9 +384,7 @@ def _taylor_coeffs_a(pot, x: float, N: int, cc: CellConstants,
         s = np.sqrt((1.0 - Y) * (1.0 + Y) + 0j)
         if (s / (k * cc.L0)).real < 0.0:
             s = -s
-        denom = (Y + 1j * s) - U.alpha_plus
-        rr = -U.beta_plus / denom
-        vals[j] = rr / (1.0 + rr) - 0.5
+        vals[j] = _s_values(U, s, x, k)[0] - 0.5
     spectrum = np.fft.fft(vals) / npts
     return (spectrum[: N + 1] / rho ** np.arange(N + 1)).real
 

@@ -93,6 +93,26 @@ def test_exact_equals_oracle_across_bands(pot_square, sq_params):
         assert abs(exact - ref) <= 1e-8 * abs(ref), k
 
 
+@pytest.mark.parametrize("excess", [2e-10, 5e-10, 9e-10])
+def test_near_edge_gap_uses_gap_branch(pot_square, sq_params, excess):
+    # just inside the first gap, above the edge tolerance: the gap closed
+    # form for Z applies and the Wronskian stays finite
+    from scipy.optimize import brentq
+
+    from bloch_green.transfer import classify_band, monodromy
+    k = brentq(lambda kk: sq_params.discriminant(kk).real ** 2 - 1.0 - excess,
+               K_EDGE1, K_EDGE1 + 1e-6, xtol=1e-16)
+    mono = monodromy(pot_square, k)
+    Y = mono.Y.real
+    assert classify_band(pot_square, k) is BandClass.GAP
+    assert mono.band is BandClass.GAP
+    assert mono.Z == 1j * math.copysign(1.0, Y) * math.sqrt(Y * Y - 1.0)
+    gv = green_exact(pot_square, 0.4, 0.1, k)
+    assert gv.band_class is BandClass.GAP
+    ref = square_well_oracle(sq_params, 0.4, 0.1, k)
+    assert abs(gv.G_S - ref) <= 1e-5 * abs(ref)
+
+
 def test_gap_values_are_real(pot_square):
     for k in (2.5, 3.0, 6.3, 9.6):
         gv = green_exact(pot_square, 0.4, 0.1, k)
@@ -297,7 +317,7 @@ def test_series_accuracy_in_lowest_band(pot_square, cc_square, sq_params):
 def test_line_integral_route_agrees(pot_square):
     # the textbook assembly (quadrature of S plus endpoint roots) matches
     # the propagation route wherever its principal roots are safe
-    from bloch_green.green import _green_by_line_integral
+    from green_line_integral import _green_by_line_integral
     from bloch_green.transfer import monodromy
     for k in (0.5, 1.2, 2.0, 0.8 + 0.3j):
         mono = monodromy(pot_square, complex(k))

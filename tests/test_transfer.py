@@ -355,3 +355,24 @@ def test_scattering_rejects_singular():
     U = EvolutionMatrix(0.0, 1.0, 0.5, 0.5, 1.0, 0.0, 1.0)
     with pytest.raises(SingularIntervalError):
         scattering(U)
+
+
+def test_offset_cells_match_closed_form():
+    # the one-period window sits on [offset, offset + L]: the jump at the
+    # cell origin is counted once however the offset rounds
+    from bloch_green.green import SquareWellParams
+    from bloch_green.potential import ConstSegment, PeriodicPotential
+    p = SquareWellParams(C=C, L=1.0, a=A)
+    segments = [ConstSegment(0.0, A), ConstSegment(C, B)]
+    for i in range(1, 51):
+        pot = PeriodicPotential(1.0, segments, offset=i * 0.0037)
+        for k in (0.5, 1.0, 3.0, 0.8 + 0.3j):
+            mono = monodromy(pot, k)
+            want = p.discriminant(k)
+            assert abs(mono.Y - want) <= 1e-12, (i, k)
+            if isinstance(k, float):
+                cls = BandClass.BAND if want.real ** 2 < 1.0 else BandClass.GAP
+                assert mono.band is cls, (i, k)
+                assert classify_band(pot, k) is cls, (i, k)
+            else:
+                assert mono.band is None
