@@ -354,10 +354,14 @@ def _parse_kv(tokens, lineno):
 def _get_float(kv, key, lineno):
     if key not in kv:
         raise ParseError(f"missing {key!r}", lineno)
+    text = kv.pop(key)
     try:
-        return float(kv.pop(key))
+        value = float(text)
     except ValueError:
-        raise ParseError(f"bad float for {key!r}: {kv[key]!r}", lineno) from None
+        raise ParseError(f"bad float for {key!r}: {text!r}", lineno) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite value for {key!r}: {text!r}", lineno)
+    return value
 
 
 def load_potential(text: str, base_dir: str = ".") -> PeriodicPotential:
@@ -431,8 +435,12 @@ def load_potential(text: str, base_dir: str = ".") -> PeriodicPotential:
             full = path if os.path.isabs(path) else os.path.join(base_dir, path)
             try:
                 data = np.loadtxt(full, delimiter=",", ndmin=2)
-            except OSError as exc:
+            except (OSError, ValueError) as exc:
                 raise ParseError(f"cannot read table file {path!r}: {exc}", lineno) from None
+            if data.shape[1] != 2:
+                raise ParseError(f"table file {path!r} needs two columns (x, V)", lineno)
+            if not np.all(np.isfinite(data)):
+                raise ParseError(f"non-finite entry in table file {path!r}", lineno)
             seg = TableSegment(tuple(data[:, 0]), tuple(data[:, 1]), length)
         if kv:
             raise ParseError(f"unexpected keys {sorted(kv)}", lineno)

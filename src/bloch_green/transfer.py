@@ -3,10 +3,13 @@ finite-interval scattering coefficients.
 
 The 2x2 evolution matrix propagates the pair of wave amplitudes across an
 interval.  Smooth stretches with constant drift (const and linear segments)
-have closed-form propagators; other smooth stretches are integrated with an
-adaptive high-order Runge-Kutta scheme; potential jumps are applied as exact
-hyperbolic factor matrices.  A jump sitting exactly at a point p is counted
-by intervals with xprime < p <= x.
+have closed-form propagators.  Cosine and table stretches are propagated by
+a fixed-step 6th-order Magnus integrator sampled at 3 Gauss-Legendre nodes
+per step, split at table knots, with the step length set by rtol, |k| and
+the drift; each step is the closed-form exponential of a traceless 2x2
+matrix, so step products are unimodular.  Potential jumps are applied as
+exact hyperbolic factor matrices.  A jump sitting exactly at a point p is
+counted by intervals with xprime < p <= x.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .iterint import alternating_tail_values
 
@@ -147,9 +149,109 @@ def _const_drift_matrix(f: float, d: float, k: complex) -> np.ndarray:
                      [f * shm, ch + ik * shm]])
 
 
+# 3-point Gauss-Legendre nodes on [0, 1]: the samples of the 6th-order Magnus step
+_GL_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
+# step length h = _STEP_SCALE * rtol**(1/6) / rate; per-step error ~ (h*rate)**7
+_STEP_SCALE = 2.0
+# steps multiplied per array pass; bounds the kernel's memory at large |k| * length
+_CHUNK = 4096
+
+
+def _magnus_product(seg, seg_start: float, edges: np.ndarray, k: complex) -> np.ndarray:
+    """U(edges[-1], edges[0]; k) inside one smooth segment, by one 6th-order
+    Magnus step per interval of edges (Blanes, Casas, Oteo & Ros, Phys. Rep.
+    470 (2009); Iserles & Norsett, Phil. Trans. R. Soc. A 357 (1999)).
+
+    In the Pauli basis A(x) = f(x) sigma_x - ik sigma_z is the 3-vector
+    (f, 0, -ik), and [u.sigma, v.sigma] = 2i (u x v).sigma.  With A_j at the
+    Gauss nodes, a1 = h A_2, a2 = (sqrt(15)/3) h (A_3 - A_1),
+    a3 = (10/3) h (A_3 - 2 A_2 + A_1), C1 = [a1, a2],
+    C2 = -[a1, 2 a3 + C1]/60, the step exponent is
+    Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240.  Below, the cross
+    products are written out for a1 = (p1, 0, w), a2 = (p2, 0, 0),
+    a3 = (p3, 0, 0).  exp(Omega) = cosh(mu) + sinh(mu)/mu * Omega.sigma with
+    mu^2 = Omega.Omega, so every step is unimodular by construction.
+    """
+    h = np.diff(edges)
+    t = edges[:-1] + h * _GL_NODES[:, None]
+    f = -0.5 * np.asarray(seg.slope(t - seg_start), dtype=float)  # f[node, step]
+    p1 = h * f[1]
+    p2 = (math.sqrt(15.0) / 3.0) * h * (f[2] - f[0])
+    p3 = (10.0 / 3.0) * h * (f[2] - 2.0 * f[1] + f[0])
+    w = -1j * k * h
+    c = 2j * w * p2  # C1 = (0, c, 0)
+    # u = -20 a1 - a3 + C1 and v = a2 + C2
+    ux, uy, uz = -20.0 * p1 - p3, c, -20.0 * w
+    vx, vy, vz = p2 + (1j / 30.0) * w * c, (-1j / 15.0) * w * p3, (-1j / 30.0) * p1 * c
+    om = np.array([p1 + p3 / 12.0 + (1j / 120.0) * (uy * vz - uz * vy),
+                   (1j / 120.0) * (uz * vx - ux * vz),
+                   w + (1j / 120.0) * (ux * vy - uy * vx)])
+    mu2 = om[0] * om[0] + om[1] * om[1] + om[2] * om[2]
+    mu = np.sqrt(mu2)
+    # cosh and sinh from one expm1: sinh(mu) = expm1(mu) (1 + e^-mu) / 2 keeps
+    # its relative accuracy at small mu
+    em1 = np.expm1(mu)
+    einv = 1.0 / (1.0 + em1)
+    ch = 0.5 * (1.0 + em1 + einv)
+    small = np.abs(mu) < 1e-8
+    shm = np.where(small, 1.0 + mu2 / 6.0,
+                   0.5 * em1 * (1.0 + einv) / np.where(small, 1.0, mu))  # sinh(mu)/mu
+    # rows U00, U01, U10, U11 of the step matrices, in step order
+    steps = np.array([ch + shm * om[2], shm * (om[0] - 1j * om[1]),
+                      shm * (om[0] + 1j * om[1]), ch - shm * om[2]])
+    # ordered product E[n-1] ... E[0] by pairwise tree reduction
+    while steps.shape[1] > 1:
+        n = steps.shape[1]
+        lo, hi = steps[:, 0:n - 1:2], steps[:, 1:n:2]
+        paired = np.array([hi[0] * lo[0] + hi[1] * lo[2], hi[0] * lo[1] + hi[1] * lo[3],
+                           hi[2] * lo[0] + hi[3] * lo[2], hi[2] * lo[1] + hi[3] * lo[3]])
+        steps = np.concatenate([paired, steps[:, n - 1:]], axis=1) if n % 2 else paired
+    return steps[:, 0].reshape(2, 2)
+
+
+def _step_edges(seg, seg_start: float, a: float, b: float, k: complex,
+                rtol: float) -> np.ndarray:
+    """Magnus step edges on [a, b]: pieces split at the segment's smoothness
+    knots, each cut into equal steps no longer than the rtol-derived h."""
+    cuts = [seg_start + t for t in seg.knots]
+    breaks = np.array([a] + [c for c in cuts if a < c < b] + [b])
+    # rates of the drift system, sampled on each piece: |k|, |f| and
+    # sqrt|f'|; the last sets the step where f varies fast but stays small
+    s = (breaks[:-1, None] + np.diff(breaks)[:, None] * np.linspace(0.0, 1.0, 9)
+         - seg_start).ravel()
+    f0 = 0.5 * float(np.max(np.abs(seg.slope(s))))
+    f1 = 0.5 * float(np.max(np.abs(seg.curvature(s))))
+    rate = max(1.0, abs(k), f0, math.sqrt(f1))
+    h = _STEP_SCALE * rtol ** (1.0 / 6.0) / rate
+    parts = [np.linspace(lo, hi, max(1, math.ceil((hi - lo) / h)) + 1)[:-1]
+             for lo, hi in zip(breaks[:-1], breaks[1:])]
+    return np.concatenate(parts + [[b]])
+
+
+def _magnus_piece(seg, seg_start: float, a: float, b: float, k: complex,
+                  rtol: float) -> np.ndarray:
+    """U(b, a; k) inside one cosine or table segment."""
+    edges = _step_edges(seg, seg_start, a, b, k, rtol)
+    U = np.eye(2, dtype=complex)
+    for lo in range(0, edges.size - 1, _CHUNK):
+        U = _magnus_product(seg, seg_start, edges[lo:lo + _CHUNK + 1], k) @ U
+    return U
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call: only the DOP853
+    reference route below integrates, and importing scipy.integrate takes
+    most of the package's import time."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
+
+
 def _ode_piece(pot, a: float, b: float, k: complex, U0: np.ndarray, rtol: float,
                t_eval=None):
-    """Integrate dU/dx = [[-ik, f],[f, ik]] U from a to b inside one segment."""
+    """Integrate dU/dx = [[-ik, f],[f, ik]] U from a to b inside one segment
+    with DOP853.  Reference route for the tests; the package propagates
+    with the Magnus kernel."""
     seg, seg_start = pot.segment_at(0.5 * (a + b))
     ik = 1j * k
 
@@ -175,7 +277,7 @@ def _piece_matrix(pot, a: float, b: float, k: complex, U0: np.ndarray, rtol: flo
     if seg.kind == "linear":
         f = -0.5 * float(seg.slope(0.0))
         return _const_drift_matrix(f, b - a, k) @ U0
-    return _ode_piece(pot, a, b, k, U0, rtol)[:, :, -1]
+    return _magnus_piece(seg, seg_start, a, b, k, rtol) @ U0
 
 
 def _span_matrix(pot, b: float, a: float, k: complex, rtol: float) -> np.ndarray:
@@ -248,6 +350,10 @@ def evolve(pot, x: float, xprime: float, k: complex,
     xprime = float(xprime)
     if not (math.isfinite(x) and math.isfinite(xprime)):
         raise ValueError("endpoints must be finite")
+    if not cmath.isfinite(k):
+        raise ValueError(f"k must be finite, got {k}")
+    if not rtol > 0:
+        raise ValueError("rtol must be positive")
     if x == xprime:
         return EvolutionMatrix(1.0, 1.0, 0.0, 0.0, x, xprime, k)
     if x < xprime:
@@ -370,6 +476,8 @@ def monodromy(pot, k: complex, eps: float | None = None,
     """One-period eigenvalue data (Y is base-independent), with the band
     class of a real k."""
     k = complex(k)
+    if not cmath.isfinite(k):
+        raise ValueError(f"k must be finite, got {k}")
     if k.imag < 0:
         raise ValueError("defined for Im k >= 0 only")
 

@@ -47,17 +47,17 @@ def _piece_scan(pot, a: float, b: float, k: complex, U0: np.ndarray,
 def propagator_scan(pot, k: complex, zs, rtol: float = DEFAULT_RTOL):
     """Propagators from the bottom of the cell to each requested point.
 
-    zs must be sorted points inside (x0 - L, x0] with x0 = offset + period.
-    Returns (E, M) where E[i] = U(zs[i], x0 - L; k) and M = U(x0, x0 - L; k).
-    One-period matrices anywhere in the cell follow by similarity:
-    U(z, z - L) = E(z) @ M @ E(z)^{-1}.
+    zs must be sorted points inside (lo, x0] with lo = offset and
+    x0 = offset + period.  Returns (E, M) where E[i] = U(zs[i], lo; k) and
+    M = U(x0, lo; k).  One-period matrices anywhere in the cell follow by
+    similarity: U(z, z - L) = E(z) @ M @ E(z)^{-1}.
     """
     k = complex(k)
-    x0 = pot.offset + pot.period
-    lo = x0 - pot.period
+    lo = pot.offset  # x0 - L can round below the offset and count its jump twice
+    x0 = lo + pot.period
     zs = np.asarray(zs, dtype=float)
     if zs.size and (np.any(np.diff(zs) < 0) or zs[0] <= lo or zs[-1] > x0):
-        raise ValueError("scan points must be sorted inside (x0 - L, x0]")
+        raise ValueError("scan points must be sorted inside (offset, offset + L]")
 
     stops = pot.boundaries_in(lo, x0)
     if not stops or stops[-1][0] < x0:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from bloch_green.cli import EXIT_CONFIG, EXIT_OK, RunConfig, run
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 SQUARE = "period=1\nsegment const V=0 len=0.6\nsegment const V=1 len=0.4\n"
 FREE = "period=1\nsegment const V=0 len=1\n"
@@ -142,6 +148,25 @@ def test_unreadable_and_invalid_potential(tmp_path):
     cfg = RunConfig(command="bands", potential_path=str(bad),
                     out=str(tmp_path / "o.csv"))
     assert run(cfg) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("segment", ["cosine amp=0.3 phase=nan len=1",
+                                     "const V=nan len=1", "const V=inf len=1",
+                                     "cosine amp=inf len=1"])
+def test_non_finite_potential_exits_with_config_error(tmp_path, segment):
+    # a NaN phase used to hang the adaptive integrator: the process must
+    # end, with the configuration exit code
+    pot = tmp_path / "bad.pot"
+    pot.write_text(f"period=1\nsegment {segment}\n")
+    out = tmp_path / "o.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bloch_green.cli", "--cmd", "green", "--potential",
+         str(pot), "--n", "5", "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "non-finite" in proc.stderr
+    assert not out.exists()
 
 
 def test_cli_argument_parsing(square_file, tmp_path):

@@ -325,6 +325,26 @@ def test_line_integral_route_agrees(pot_square):
                                            mono.Z, 40, 1e-12)
         direct = green_exact(pot_square, 0.4, 0.1, k).G_S
         assert via_line == pytest.approx(direct, rel=1e-10)
+    # offset cells: the scan is based at the offset, where the cell's own
+    # jump sits
+    from bloch_green.potential import ConstSegment, PeriodicPotential, load_potential
+    segments = [ConstSegment(0.0, 0.6), ConstSegment(1.0, 0.4)]
+    for i in range(1, 51):
+        off = i * 0.0037
+        pot = PeriodicPotential(1.0, segments, offset=off)
+        mono = monodromy(pot, 1.2)
+        via_line = _green_by_line_integral(pot, 0.4 + off, 0.1 + off, 1.2 + 0j,
+                                           mono.Z, 40, 1e-12)
+        direct = green_exact(pot, 0.4 + off, 0.1 + off, 1.2).G_S
+        assert via_line == pytest.approx(direct, rel=1e-10), off
+    # a smooth offset cell: the scan integrates with DOP853, green_exact
+    # propagates with the Magnus kernel
+    pot = load_potential("period=2; offset=0.3; cosine amp=0.3 len=2")
+    for k in (0.5, 1.2, 0.8 + 0.3j):
+        mono = monodromy(pot, complex(k))
+        via_line = _green_by_line_integral(pot, 1.1, 0.45, complex(k), mono.Z, 40, 1e-12)
+        direct = green_exact(pot, 1.1, 0.45, k).G_S
+        assert via_line == pytest.approx(direct, rel=1e-10), k
 
 
 def test_series_eval_form():

@@ -64,6 +64,43 @@ def test_parse_errors_carry_line_numbers():
         load_potential("")
 
 
+@pytest.mark.parametrize("spec", [
+    "period=nan; const V=0 len=1",
+    "period=inf; const V=0 len=1",
+    "period=1; offset=nan; const V=0 len=1",
+    "period=1; offset=-inf; const V=0 len=1",
+    "period=1; const V=nan len=1",
+    "period=1; const V=inf len=1",
+    "period=1; linear V0=0 V1=-inf len=1",
+    "period=1; cosine amp=0.3 phase=nan len=1",
+    "period=1; cosine amp=inf len=1",
+    "period=1; const V=0 len=nan",
+])
+def test_parse_rejects_non_finite(spec):
+    with pytest.raises(ParseError, match="non-finite"):
+        load_potential(spec)
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf"])
+def test_parse_rejects_non_finite_table_entry(tmp_path, entry):
+    path = tmp_path / "profile.csv"
+    path.write_text(f"0.0,0.0\n0.5,{entry}\n1.0,0.0\n")
+    with pytest.raises(ParseError, match="non-finite"):
+        load_potential(f"period=1; table file={path} len=1")
+
+
+def test_parse_reports_bad_float_and_unreadable_table(tmp_path):
+    with pytest.raises(ParseError, match="bad float"):
+        load_potential("period=1; const V=abc len=1")
+    path = tmp_path / "profile.csv"
+    path.write_text("0.0,0.0\n0.5,oops\n1.0,0.0\n")
+    with pytest.raises(ParseError, match="cannot read table file"):
+        load_potential(f"period=1; table file={path} len=1")
+    path.write_text("0.0\n0.5\n1.0\n")
+    with pytest.raises(ParseError, match="two columns"):
+        load_potential(f"period=1; table file={path} len=1")
+
+
 def test_segment_lengths_must_sum_to_period():
     with pytest.raises(PotentialError):
         PeriodicPotential(1.0, square_potential(1.0, 1.0, 0.6).segments[:1])

@@ -350,6 +350,22 @@ def test_table_potential_propagation(tmp_path):
     assert abs(mono.lam * (1 / mono.lam) - 1.0) < 1e-13
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf, complex(1.0, math.nan),
+                               complex(-math.inf, 0.5)])
+def test_non_finite_k_rejected(pot_square, pot_cosine, k):
+    for pot in (pot_square, pot_cosine):
+        with pytest.raises(ValueError, match="finite"):
+            evolve(pot, 1.3, 0.2, k)
+        with pytest.raises(ValueError, match="finite"):
+            monodromy(pot, k)
+
+
+def test_rtol_must_be_positive(pot_cosine):
+    for rtol in (0.0, -1e-12, math.nan):
+        with pytest.raises(ValueError, match="rtol"):
+            evolve(pot_cosine, 1.3, 0.2, 1.0, rtol)
+
+
 def test_scattering_rejects_singular():
     from bloch_green.transfer import EvolutionMatrix
     U = EvolutionMatrix(0.0, 1.0, 0.5, 0.5, 1.0, 0.0, 1.0)

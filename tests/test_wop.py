@@ -7,7 +7,8 @@ from bloch_green import wop
 from bloch_green.halfline import reflect_halfline
 from bloch_green.iterint import bracket
 from bloch_green.wop import (DomainError, WGridFunction, WopGrid, expansion_coeffs,
-                             k_op, op_A, op_A_inv, op_B, rbar_closed, rbar_numeric)
+                             op_A, op_A_inv, op_B, rbar_closed, rbar_numeric)
+from wop_reference import k_op, limit_profile
 
 A, B, C = 0.6, 0.4, 1.0
 
@@ -191,7 +192,7 @@ def test_expansion_limit_reproduces_closed_orders(pot_square, cc_square):
     a_closed, _ = expansion_coeffs(pot_square, 0.4, 2, cc=cc_square)
     x = 0.4
     for n in (1, 2):
-        limit = wop._limit_profile(grid, series.rbar[n], x, pot_square.V(x), 1e-6)
+        limit = limit_profile(grid, series.rbar[n], x, pot_square.V(x), 1e-6)
         assert 0.25 * limit == pytest.approx(a_closed[n], abs=2e-9)
 
 
