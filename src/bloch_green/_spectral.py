@@ -10,6 +10,8 @@ machine precision.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
@@ -18,6 +20,7 @@ __all__ = [
     "vals_to_coeffs",
     "coeffs_to_vals",
     "cheb_definite_integral_weights",
+    "cumulative_integral",
     "PanelMesh",
     "PanelFunction",
 ]
@@ -30,35 +33,48 @@ def lobatto_nodes(order: int) -> np.ndarray:
     return -np.cos(np.pi * np.arange(order + 1) / order)
 
 
-# Cached values<->coefficients cosine matrices, keyed by order.
-_V2C: dict[int, np.ndarray] = {}
-_C2V: dict[int, np.ndarray] = {}
+# values<->coefficients and cumulative-integral matrices, cached per order
 
-
+@functools.cache
 def _v2c_matrix(n: int) -> np.ndarray:
-    mat = _V2C.get(n)
-    if mat is None:
-        j = np.arange(n + 1)
-        # values are at ascending nodes -cos(pi*j/n); flip to classic order
-        cosmat = np.cos(np.pi * np.outer(j, n - j) / n)
-        w = np.full(n + 1, 2.0 / n)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        mat = cosmat * w
-        mat[0] *= 0.5
-        mat[-1] *= 0.5
-        _V2C[n] = mat
+    j = np.arange(n + 1)
+    # values are at ascending nodes -cos(pi*j/n); flip to classic order
+    cosmat = np.cos(np.pi * np.outer(j, n - j) / n)
+    w = np.full(n + 1, 2.0 / n)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    mat = cosmat * w
+    mat[0] *= 0.5
+    mat[-1] *= 0.5
     return mat
 
 
+@functools.cache
 def _c2v_matrix(n: int) -> np.ndarray:
-    mat = _C2V.get(n)
-    if mat is None:
-        x = lobatto_nodes(n)
-        k = np.arange(n + 1)
-        mat = np.cos(np.outer(np.arccos(x), k))
-        _C2V[n] = mat
+    return np.cos(np.outer(np.arccos(lobatto_nodes(n)), np.arange(n + 1)))
+
+
+@functools.cache
+def _cumint_matrix(n: int) -> np.ndarray:
+    """Lobatto-node values on [-1, 1] -> their interpolant's integral from
+    -1 at the same nodes."""
+    ci = _cheb.chebint(np.eye(n + 1), lbnd=-1)  # column j integrates T_j
+    mat = _cheb.chebval(lobatto_nodes(n), ci).T @ _v2c_matrix(n)
+    mat[0] = 0.0  # the first node is the lower limit itself
     return mat
+
+
+def cumulative_integral(values: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Cumulative integral from the left end of a panel mesh, continuous
+    across panels, of values shaped (npanels, order+1, ...) on panels of
+    half-widths `half`."""
+    values = np.asarray(values)
+    vals = np.moveaxis(np.tensordot(values, _cumint_matrix(values.shape[1] - 1),
+                                    axes=([1], [1])), -1, 1)
+    vals = vals * np.reshape(half, (-1,) + (1,) * (values.ndim - 1))
+    ends = vals[:, -1]
+    offsets = np.concatenate([np.zeros_like(ends[:1]), np.cumsum(ends, axis=0)[:-1]])
+    return vals + offsets[:, None]
 
 
 def vals_to_coeffs(values: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -106,6 +122,13 @@ class PanelMesh:
     def a(self) -> float:
         return float(self.breaks[0])
 
+    def gauss_rule(self, order: int):
+        """(nodes, weights) of the Gauss-Legendre rule of the given order on
+        every panel, panels in order."""
+        t, w = np.polynomial.legendre.leggauss(order)
+        return ((self.mid[:, None] + self.half[:, None] * t).ravel(),
+                (self.half[:, None] * w).ravel())
+
     def panel_of(self, x: np.ndarray) -> np.ndarray:
         """Panel index per point; interior breakpoints belong to the right panel."""
         idx = np.searchsorted(self.breaks, x, side="right") - 1
@@ -134,14 +157,7 @@ class PanelFunction:
 
     def antiderivative(self) -> "PanelFunction":
         """Cumulative integral from the left end of the mesh, continuous across panels."""
-        c = self.coeffs()
-        ci = _cheb.chebint(c.T, axis=0) * self.mesh.half[None, :]
-        ref = lobatto_nodes(self.mesh.order)
-        vals = _cheb.chebval(ref, ci)  # (npanels, order+1)
-        vals = vals - vals[:, :1]
-        panel_tot = vals[:, -1]
-        offsets = np.concatenate(([0.0], np.cumsum(panel_tot)[:-1]))
-        return PanelFunction(self.mesh, vals + offsets[:, None])
+        return PanelFunction(self.mesh, cumulative_integral(self.values, self.mesh.half))
 
     def integral(self):
         w = cheb_definite_integral_weights(self.mesh.order)

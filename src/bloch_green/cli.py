@@ -44,7 +44,6 @@ class RunConfig:
     x: float = 0.4
     y: float = 0.1
     order: int = 2
-    eps: float | None = None
     out: str | None = None
 
     def validate(self):
@@ -63,8 +62,6 @@ class RunConfig:
                 raise ValueError("need n >= 2")
         if self.order not in (0, 1, 2):
             raise ValueError("order must be 0, 1 or 2")
-        if self.eps is not None and not self.eps > 0:
-            raise ValueError("eps must be positive")
 
 
 def _fmt(v: float) -> str:
@@ -77,8 +74,7 @@ def _fmt(v: float) -> str:
 def _header(config: RunConfig, columns: str) -> list[str]:
     echo = (f"cmd={config.command} potential={config.potential_path} "
             f"kmin={_fmt(config.k_min)} kmax={_fmt(config.k_max)} n={config.k_count} "
-            f"x={_fmt(config.x)} y={_fmt(config.y)} order={config.order} "
-            f"eps={'auto' if config.eps is None else _fmt(config.eps)}")
+            f"x={_fmt(config.x)} y={_fmt(config.y)} order={config.order}")
     return [f"# bloch-green v{__version__}, schema=1", f"# config: {echo}", columns]
 
 
@@ -88,14 +84,14 @@ def _k_grid(config: RunConfig) -> np.ndarray:
 
 def _cmd_bands(config, pot, lines):
     for k in _k_grid(config):
-        mono = monodromy(pot, float(k), eps=config.eps)
+        mono = monodromy(pot, float(k))
         lines.append(",".join([_fmt(k), _fmt(mono.Y.real), str(mono.band),
                                _fmt(mono.Z.real), _fmt(mono.Z.imag)]))
 
 
 def _cmd_green(config, pot, lines):
     for k in _k_grid(config):
-        gv = green_exact(pot, config.x, config.y, float(k), eps=config.eps)
+        gv = green_exact(pot, config.x, config.y, float(k))
         lines.append(",".join([_fmt(k), _fmt(gv.G_S.real), _fmt(gv.G_S.imag),
                                _fmt(gv.G_F.real), _fmt(gv.G_F.imag),
                                str(gv.band_class)]))
@@ -117,7 +113,7 @@ def _cmd_expand(config, pot, lines):
 def _cmd_compare(config, pot, lines):
     gs = green_series(pot, config.x, config.y, order=config.order)
     for k in _k_grid(config):
-        exact = green_exact(pot, config.x, config.y, float(k), eps=config.eps).G_S
+        exact = green_exact(pot, config.x, config.y, float(k)).G_S
         approx = gs(float(k))
         rel = abs(approx - exact) / abs(exact)
         lines.append(",".join([_fmt(k), _fmt(abs(exact)), _fmt(abs(approx)), _fmt(rel)]))
@@ -185,8 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--x", dest="x", type=float, default=0.4)
     ap.add_argument("--y", dest="y", type=float, default=0.1)
     ap.add_argument("--order", dest="order", type=int, default=2)
-    ap.add_argument("--eps", dest="eps", type=float, default=None,
-                    help="override the upper-half-plane limit offset")
     ap.add_argument("--out", dest="out", help="output CSV path")
     return ap
 

@@ -6,11 +6,12 @@ amplitude pair at the source point is fixed by the half-line data alone,
 (S_l(y), 1 - S_l(y)), and the Wronskian with the left-decaying partner is
 2ik(1 - S(y)).  Everything is rational in the one-period matrix elements
 and the branch-resolved Z, so no square-root branch ever needs choosing,
-and real k needs no extrapolation beyond the Z limit rule itself.
+and real k needs nothing beyond the real-axis Z rule of `monodromy`.
 
 The one-period data come from `monodromy` (Z and the band class of a real
-k, decided once per call) and from the half-line S formulas of `halfline`
-evaluated on the one-period matrix based at y.
+k, read off one propagation of the cell window) and from the half-line S
+formulas of `halfline` evaluated on the one-period matrix based at y; with
+U(x, y) that makes at most three propagations per value, at every k.
 
 The textbook assembly - exponentiate the line integral of S along [y, x]
 over a square-root endpoint factor - lives in the test suite as a
@@ -110,27 +111,6 @@ class GreenSeries:
 # ---------------------------------------------------------------------------
 # exact Green function
 
-_GL_CACHE: dict = {}
-
-
-def _gauss_panels(pot, y: float, x: float, order: int, max_panel: float):
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    t, w = _GL_CACHE[order]
-    breaks = pot.breakpoints(y, x)
-    nodes = []
-    weights = []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        nsub = max(1, int(math.ceil((hi - lo) / max_panel)))
-        for j in range(nsub):
-            a = lo + (hi - lo) * j / nsub
-            b = lo + (hi - lo) * (j + 1) / nsub
-            half = 0.5 * (b - a)
-            nodes.append(0.5 * (a + b) + half * t)
-            weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def _green_at(pot, x: float, y: float, kc: complex, Z: complex,
               rtol: float) -> complex:
     """Green function by propagating the right-decaying solution.
@@ -154,7 +134,7 @@ def _green_at(pot, x: float, y: float, kc: complex, Z: complex,
 
 
 def green_exact(pot: PeriodicPotential, x: float, y: float, k: complex,
-                eps: float | None = None, rtol: float = DEFAULT_RTOL) -> GreenValue:
+                rtol: float = DEFAULT_RTOL) -> GreenValue:
     """Green functions of the periodic operator at (x, y; k).
 
     Both orderings of (x, y) are accepted; k = 0 is excluded.  Real k is
@@ -171,26 +151,26 @@ def green_exact(pot: PeriodicPotential, x: float, y: float, k: complex,
     y = float(y)
     if x < y:
         x, y = y, x
-    mono = monodromy(pot, k, eps=eps, rtol=rtol)
+    mono = monodromy(pot, k, rtol=rtol)
     gs = _green_at(pot, x, y, k, mono.Z, rtol)
     gf = math.exp(-0.5 * (pot.V(x) - pot.V(y))) * gs
     return GreenValue(G_S=gs, G_F=gf, x=x, y=y, k=k, band_class=mono.band)
 
 
-def square_well_oracle(p: SquareWellParams, x: float, y: float, k: complex,
-                       eps: float | None = None) -> complex:
+def square_well_oracle(p: SquareWellParams, x: float, y: float, k: complex) -> complex:
     """Closed-form Green function of the two-level cell for 0 < y <= x < a.
 
     Independent of the propagation machinery: the discriminant is evaluated
-    from its trigonometric closed form, and only the branch rule for
-    sqrt(1 - Y^2) is shared with the monodromy route.
+    from its trigonometric closed form, and the in-band sign of
+    sqrt(1 - Y^2) comes from the epsilon limit of `branch_Z`, not from the
+    one-period matrix that `monodromy` reads it from.
     """
     if not (0 < y <= x < p.a):
         raise ValueError("closed form covers 0 < y <= x < a only")
     k = complex(k)
     if k == 0:
         raise ValueError("k = 0 is singular")
-    Z = branch_Z(p.discriminant, k, eps=eps)
+    Z = branch_Z(p.discriminant, k)
     A = p.A
     b = p.b
     L = p.L
@@ -264,7 +244,8 @@ def green_series(pot: PeriodicPotential, x: float, y: float,
                   - math.exp(cc.V0) / cc.L0 * (cc.L0 ** 4 / 4.0 + q)))
     if order >= 2:
         if x > y:
-            nodes, weights = _gauss_panels(pot, y, x, quad_order, pot.period / 2.0)
+            mesh = pot.mesh(y, x, quad_order, max_panel=pot.period / 2.0)
+            nodes, weights = mesh.gauss_rule(quad_order)
             int_s2 = float(np.dot(weights, [_s2_profile(pot, z, cc, q, tol) for z in nodes]))
         else:
             int_s2 = 0.0

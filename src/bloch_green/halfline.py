@@ -2,7 +2,9 @@
 functions, all built from one-period evolution data.
 
 Each public function propagates the one-period matrix U(x, x - L; k) once
-and takes the monodromy (Y, the branch-resolved Z and the band class) once.
+and takes the monodromy (Y, the branch-resolved Z and the band class) once,
+which propagates the cell window once: two one-period propagations per
+call, at every k.
 The half-line reflection coefficients are Mobius images of that data;
 S_r, S_l and S = S_r + S_l follow in closed form, and the m-functions are
 affine images of S_r, S_l shifted by the local drift.  The R, S and m
@@ -40,9 +42,9 @@ class HalflineState:
     edge: bool = False
 
 
-def _period_data(pot, x, k, eps, rtol):
+def _period_data(pot, x, k, rtol):
     """(U(x, x - L; k), monodromy at k): everything the formulas below need."""
-    return evolve(pot, x, x - pot.period, k, rtol), monodromy(pot, k, eps=eps, rtol=rtol)
+    return evolve(pot, x, x - pot.period, k, rtol), monodromy(pot, k, rtol=rtol)
 
 
 def _reflection(U, mono, k):
@@ -75,28 +77,25 @@ def _m_values(Sr, Sl, k, f):
     return ik - 2.0 * ik * Sl + f, ik - 2.0 * ik * Sr - f
 
 
-def reflect_halfline(pot, x: float, k: complex, eps: float | None = None,
-                     rtol: float = DEFAULT_RTOL):
+def reflect_halfline(pot, x: float, k: complex, rtol: float = DEFAULT_RTOL):
     """Reflection coefficients of the half-lines left and right of x.
 
     Well defined for Im k > 0; real k values are boundary limits from the
     upper half plane, inherited through the Z branch rule.
     """
     k = complex(k)
-    U, mono = _period_data(pot, x, k, eps, rtol)
+    U, mono = _period_data(pot, x, k, rtol)
     return _reflection(U, mono, k)
 
 
-def s_functions(pot, x: float, k: complex, eps: float | None = None,
-                rtol: float = DEFAULT_RTOL):
+def s_functions(pot, x: float, k: complex, rtol: float = DEFAULT_RTOL):
     """(S_r, S_l, S) at position x from the one-period closed forms."""
     k = complex(k)
-    U, mono = _period_data(pot, x, k, eps, rtol)
+    U, mono = _period_data(pot, x, k, rtol)
     return _s_values(U, mono.Z, x, k)
 
 
-def m_functions(pot, x: float, k: complex, eps: float | None = None,
-                rtol: float = DEFAULT_RTOL):
+def m_functions(pot, x: float, k: complex, rtol: float = DEFAULT_RTOL):
     """Weyl-Titchmarsh functions (m_plus, m_minus) of the half-lines at x."""
     pe = pot.eval(x)
     if pe.has_jump:
@@ -104,12 +103,12 @@ def m_functions(pot, x: float, k: complex, eps: float | None = None,
             f"x = {x} is a jump point of the potential; the drift (and hence "
             "the m-functions) is undefined there")
     k = complex(k)
-    U, mono = _period_data(pot, x, k, eps, rtol)
+    U, mono = _period_data(pot, x, k, rtol)
     Sr, Sl, _ = _s_values(U, mono.Z, x, k)
     return _m_values(Sr, Sl, k, pe.f)
 
 
-def halfline_state(pot, x: float, k: complex, eps: float | None = None,
+def halfline_state(pot, x: float, k: complex,
                    rtol: float = DEFAULT_RTOL) -> HalflineState:
     """All half-line quantities at (x, k) in one bundle.
 
@@ -118,7 +117,7 @@ def halfline_state(pot, x: float, k: complex, eps: float | None = None,
     class), where the boundary values degenerate.
     """
     k = complex(k)
-    U, mono = _period_data(pot, x, k, eps, rtol)
+    U, mono = _period_data(pot, x, k, rtol)
     Rr, Rl = _reflection(U, mono, k)
     Sr, Sl, S = _s_values(U, mono.Z, x, k)
     pe = pot.eval(x)

@@ -161,11 +161,17 @@ class PeriodicPotential:
     """Period-L piecewise potential; immutable after construction."""
 
     def __init__(self, period: float, segments, offset: float = 0.0):
-        if not period > 0:
-            raise PotentialError("period must be positive")
+        if not (period > 0 and math.isfinite(period)):
+            raise PotentialError("period must be positive and finite")
+        if not math.isfinite(offset):
+            raise PotentialError(f"offset must be finite, got {offset!r}")
         segments = tuple(segments)
         if not segments:
             raise PotentialError("empty segment list")
+        for seg in segments:
+            for name, value in vars(seg).items():
+                if not name.startswith("_") and not np.all(np.isfinite(value)):
+                    raise PotentialError(f"non-finite {name} in a {seg.kind} segment")
         total = math.fsum(s.length for s in segments)
         if abs(total - period) > 1e-9 * period:
             raise PotentialError(

@@ -9,7 +9,13 @@ per step, split at table knots, with the step length set by rtol, |k| and
 the drift; each step is the closed-form exponential of a traceless 2x2
 matrix, so step products are unimodular.  Potential jumps are applied as
 exact hyperbolic factor matrices.  A jump sitting exactly at a point p is
-counted by intervals with xprime < p <= x.
+counted by intervals with xprime < p <= x.  A matrix that overflows floating
+point raises OverflowError.
+
+`monodromy` reads Y, the branch of Z = sqrt(1 - Y^2) and the band class of
+a real k off one propagation of the cell window; `branch_Z` computes the
+same branch from a half-trace function by the k + i*eps limit, as a
+reference that shares no propagation with it.
 """
 
 from __future__ import annotations
@@ -344,7 +350,8 @@ def _near_jump(pot, t: float, rel: float = 1e-9) -> bool:
 
 def evolve(pot, x: float, xprime: float, k: complex,
            rtol: float = DEFAULT_RTOL) -> EvolutionMatrix:
-    """Evolution matrix U(x, xprime; k) of the drift system."""
+    """Evolution matrix U(x, xprime; k) of the drift system; OverflowError
+    when it does not fit in floating point (strong jumps, long spans)."""
     k = complex(k)
     x = float(x)
     xprime = float(xprime)
@@ -377,8 +384,10 @@ def evolve(pot, x: float, xprime: float, k: complex,
         U = _matrix_power(mono, nper)
         if rem > 0.0:
             U = _span_matrix(pot, xprime + rem, xprime, k, rtol) @ U
-        return EvolutionMatrix.from_matrix(U, x, xprime, k)
-    U = _span_matrix(pot, x, xprime, k, rtol)
+    else:
+        U = _span_matrix(pot, x, xprime, k, rtol)
+    if not np.all(np.isfinite(U)):
+        raise OverflowError(f"U({x}, {xprime}; k = {k}) overflowed to a non-finite value")
     return EvolutionMatrix.from_matrix(U, x, xprime, k)
 
 
@@ -429,67 +438,64 @@ def _classify(Y: float, tol: float = EDGE_TOL) -> BandClass:
     return BandClass.EDGE
 
 
-def _branch_Z(Y_of_k, k: complex, Y: complex, band: BandClass | None,
-              eps: float | None) -> complex:
-    """Z at k from Y = Y_of_k(k) and, for real k, its class."""
-    if k.imag > 0:
-        return _uhp_Z(Y)
-    Y = Y.real
+def _real_Z(Y: float, band: BandClass, sign: float) -> complex:
+    """Upper-half-plane limit of Z at a real k: the closed form in a gap,
+    sqrt(1 - Y^2) carrying the given sign in a band and at an edge."""
     if band is BandClass.GAP:
         return 1j * math.copysign(1.0, Y) * math.sqrt(Y * Y - 1.0)
-    if eps is None:
-        eps = 1e-7 * max(1.0, abs(k))
-    z1 = _uhp_Z(Y_of_k(k + 1j * eps))
-    z2 = _uhp_Z(Y_of_k(k + 0.5j * eps))
-    z_lim = 2.0 * z2 - z1
-    # inside a band the limit is real with |Z| = sqrt(1 - Y^2) exactly; the
-    # extrapolation only has to decide the sign
-    s = math.sqrt(max(0.0, 1.0 - Y * Y))
-    return complex(math.copysign(s, z_lim.real))
+    return complex(math.copysign(math.sqrt(max(0.0, 1.0 - Y * Y)), sign))
 
 
-def branch_Z(Y_of_k, k: complex, eps: float | None = None) -> complex:
-    """sqrt(1 - Y^2) with the large-multiplier branch.
+def branch_Z(Y_of_k, k: complex) -> complex:
+    """sqrt(1 - Y^2) with the large-multiplier branch, from a half-trace
+    function alone; the epsilon-limit reference for `monodromy`.
 
     For Im k > 0 the branch is fixed by |lambda| > 1.  On the real axis the
     value is the boundary limit from above: inside gaps it has the closed
-    form i*sign(Y)*sqrt(Y^2-1); inside bands and at edges it is obtained by
-    evaluating at k + i*eps for two eps values and extrapolating linearly
-    to eps = 0.
+    form i*sign(Y)*sqrt(Y^2-1); inside bands and at edges its sign is
+    obtained by evaluating at k + i*eps and k + i*eps/2, with
+    eps = 1e-7*max(1, |k|), and extrapolating linearly to eps = 0.
     """
     k = complex(k)
     if k.imag < 0:
         raise ValueError("defined for Im k >= 0 only")
     Y = complex(Y_of_k(k))
-    band = _classify(Y.real) if k.imag == 0 else None
-    return _branch_Z(Y_of_k, k, Y, band, eps)
+    if k.imag > 0:
+        return _uhp_Z(Y)
+    Y = Y.real
+    band = _classify(Y)
+    if band is BandClass.GAP:
+        return _real_Z(Y, band, 1.0)
+    eps = 1e-7 * max(1.0, abs(k))
+    z_lim = 2.0 * _uhp_Z(Y_of_k(k + 0.5j * eps)) - _uhp_Z(Y_of_k(k + 1j * eps))
+    return _real_Z(Y, band, z_lim.real)
 
 
-def _cell_Y(pot, k: complex, rtol: float) -> complex:
-    """Half-trace of the one-period matrix over the cell [offset, offset + L]."""
-    U = evolve(pot, pot.offset + pot.period, pot.offset, k, rtol)
-    return 0.5 * (U.alpha_plus + U.alpha_minus)
+def monodromy(pot, k: complex, rtol: float = DEFAULT_RTOL) -> Monodromy:
+    """One-period eigenvalue data (Y is base-independent) and the band class
+    of a real k, from one propagation of the cell window [offset, offset + L].
 
-
-def monodromy(pot, k: complex, eps: float | None = None,
-              rtol: float = DEFAULT_RTOL) -> Monodromy:
-    """One-period eigenvalue data (Y is base-independent), with the band
-    class of a real k."""
+    Off the real axis Z is the branch with |lambda| > 1; in a gap it is
+    i*sign(Y)*sqrt(Y^2 - 1).  In a band and at an edge it is the limit from
+    above, -sign(Im alpha_plus)*sqrt(1 - Y^2): for real k the drift system
+    is pseudo-unitary, so dY/dk is the integral over base points of
+    Im alpha_plus, whose sign is fixed in a band, and |lambda| > 1 above
+    the axis needs sign(Z) = -sign(dY/dk).
+    """
     k = complex(k)
     if not cmath.isfinite(k):
         raise ValueError(f"k must be finite, got {k}")
     if k.imag < 0:
         raise ValueError("defined for Im k >= 0 only")
-
-    def Y_of_k(kk):
-        return _cell_Y(pot, kk, rtol)
-
-    Y = Y_of_k(k)
-    band = None
-    if k.imag == 0:
+    U = evolve(pot, pot.offset + pot.period, pot.offset, k, rtol)
+    Y = 0.5 * (U.alpha_plus + U.alpha_minus)
+    if k.imag > 0:
+        band = None
+        Z = _uhp_Z(Y)
+    else:
         Y = complex(Y.real)
         band = _classify(Y.real)
-    Z = _branch_Z(Y_of_k, k, Y, band, eps)
+        Z = _real_Z(Y.real, band, -U.alpha_plus.imag)
     lam = Y - 1j * Z
     return Monodromy(Y=Y, Z=Z, lam=lam, gamma=1.0 / (lam * lam), k=k, band=band)
 
@@ -497,7 +503,7 @@ def monodromy(pot, k: complex, eps: float | None = None,
 def classify_band(pot, k: float, tol: float = EDGE_TOL,
                   rtol: float = DEFAULT_RTOL) -> BandClass:
     """Band/gap/edge classification of a real wavenumber from Y^2 vs 1."""
-    return _classify(_cell_Y(pot, float(k), rtol).real, tol)
+    return _classify(monodromy(pot, float(k), rtol=rtol).Y.real, tol)
 
 
 def series_evolution(pot, x: float, xprime: float, k: complex,

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _np_cheb
 
 from ._spectral import (cheb_definite_integral_weights, coeffs_to_vals,
-                        lobatto_nodes, vals_to_coeffs)
+                        cumulative_integral, lobatto_nodes, vals_to_coeffs)
 from .iterint import bracket, cell_Q
 from .potential import CellConstants, cell_constants
 
@@ -74,22 +74,11 @@ class WopGrid:
         self.mesh = pot.mesh(self.x_top - L, self.x_top, x_order, max_panel=L / 3.0)
         self.v_nodes = pot.V_on_mesh(self.mesh)          # (npanels, x_order+1)
         self._ccw = cheb_definite_integral_weights(self.mesh.order)
-        ep = self.x_antiderivative(np.exp(self.v_nodes)[:, :, None])[:, :, 0]
-        em = self.x_antiderivative(np.exp(-self.v_nodes)[:, :, None])[:, :, 0]
-        self.cum_plus = ep                               # integral of e^{V} from x0-L
-        self.cum_minus = em
+        # integrals of e^{V} and e^{-V} from x0 - L
+        self.cum_plus = cumulative_integral(np.exp(self.v_nodes), self.mesh.half)
+        self.cum_minus = cumulative_integral(np.exp(-self.v_nodes), self.mesh.half)
 
     # -- x-axis calculus on (npanels, nx, nW) value arrays --------------------
-
-    def x_antiderivative(self, values: np.ndarray) -> np.ndarray:
-        """Cumulative integral in x from the bottom of the cell."""
-        c = vals_to_coeffs(values, axis=1)
-        ci = _np_cheb.chebint(np.moveaxis(c, 1, 0), lbnd=-1)
-        vals = np.moveaxis(_np_cheb.chebval(lobatto_nodes(self.mesh.order), ci), -1, 1)
-        vals = vals * self.mesh.half[:, None, None]
-        ends = vals[:, -1, :]
-        offsets = np.concatenate([np.zeros_like(ends[:1]), np.cumsum(ends, axis=0)[:-1]])
-        return vals + offsets[:, None, :]
 
     def x_cell_integral(self, values: np.ndarray) -> np.ndarray:
         c = vals_to_coeffs(values, axis=1)
@@ -236,7 +225,7 @@ def op_A_inv(pot, g: WGridFunction, mean_tol: float = 1e-6) -> WGridFunction:
             f"not in range of A: cell mean residual {worst:.3e} exceeds "
             f"{mean_tol:g} * {scale:g}")
     gv = g.values - means[None, None, :] / pot.period
-    cum = grid.x_antiderivative(gv)
+    cum = cumulative_integral(gv, grid.mesh.half)
     cum = cum - cum[-1:, -1:, :]
     wexp = np.exp(grid.w_nodes)
     weight = (grid.cum_plus[:, :, None] / wexp[None, None, :]

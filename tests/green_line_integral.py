@@ -11,7 +11,6 @@ import cmath
 
 import numpy as np
 
-from bloch_green.green import _gauss_panels
 from bloch_green.transfer import DEFAULT_RTOL, _jump_matrix, _ode_piece
 
 
@@ -99,7 +98,7 @@ def _green_by_line_integral(pot, x: float, y: float, kc: complex, Z: complex,
     edges; the primary route does not have this caveat.
     """
     if x > y:
-        nodes, weights = _gauss_panels(pot, y, x, quad_order, pot.period / 2.0)
+        nodes, weights = pot.mesh(y, x, quad_order, pot.period / 2.0).gauss_rule(quad_order)
         pts = np.concatenate([nodes, [x, y]])
     else:
         weights = np.zeros(0)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from bloch_green.cli import EXIT_CONFIG, EXIT_OK, RunConfig, run
+from bloch_green.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, RunConfig, run
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -169,6 +169,19 @@ def test_non_finite_potential_exits_with_config_error(tmp_path, segment):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["bands", "green"])
+def test_overflowing_propagation_exits_with_numeric_error(tmp_path, command):
+    # a jump of 800 overflows the one-period matrix: the run must fail
+    # loudly instead of writing NaN rows
+    pot = tmp_path / "jump.pot"
+    pot.write_text("period=1\nsegment const V=0 len=0.5\nsegment const V=800 len=0.5\n")
+    out = tmp_path / "o.csv"
+    cfg = RunConfig(command=command, potential_path=str(pot), k_count=5, out=str(out))
+    assert run(cfg) == EXIT_NUMERIC
+    assert not out.exists()
+
+
 def test_cli_argument_parsing(square_file, tmp_path):
     from bloch_green.cli import build_parser
     out = tmp_path / "out.csv"
@@ -178,22 +191,6 @@ def test_cli_argument_parsing(square_file, tmp_path):
     cfg = RunConfig(**vars(args))
     assert run(cfg) == EXIT_OK
     assert out.exists()
-
-
-def test_eps_override(square_file, tmp_path):
-    out1 = tmp_path / "e1.csv"
-    out2 = tmp_path / "e2.csv"
-    base = dict(command="bands", potential_path=square_file,
-                k_min=0.3, k_max=1.5, k_count=5)
-    assert run(RunConfig(**base, eps=1e-5, out=str(out1))) == EXIT_OK
-    assert run(RunConfig(**base, out=str(out2))) == EXIT_OK
-    # the override is recorded and the branch values stay consistent
-    assert "eps=" in out1.read_text().splitlines()[1]
-    _, rows1 = read_rows(out1)
-    _, rows2 = read_rows(out2)
-    for r1, r2 in zip(rows1, rows2):
-        assert float(r1[3]) == pytest.approx(float(r2[3]), abs=1e-9)
-    assert run(RunConfig(**base, eps=-1.0, out=str(out1))) == EXIT_CONFIG
 
 
 def test_selftest_passes():

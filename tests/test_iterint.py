@@ -1,9 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev
 
+from bloch_green._spectral import PanelMesh, cumulative_integral, lobatto_nodes, vals_to_coeffs
 from bloch_green.iterint import SignWord, bracket, cell_Q, insertions
 
 A, B, C = 0.6, 0.4, 1.0
@@ -118,3 +121,21 @@ def test_bracket_cache_consistency(pot_square):
     v1 = bracket(pot_square, "+-", 0.0, 1.0)
     v2 = bracket(pot_square, "+-", 0.0, 1.0)
     assert v1 == v2
+
+
+def test_cumulative_integral_matches_chebint_reference(rng):
+    # the cached matrix sums in another order than a per-panel chebint and
+    # chebval pass; both integrate the same interpolant
+    for order in (16, 30, 64):
+        mesh = PanelMesh(np.sort(rng.uniform(-2.0, 3.0, 6)), order)
+        values = np.exp(np.sin(3.0 * mesh.nodes))[:, :, None] * rng.normal(size=3)
+        ref = np.empty_like(values)
+        total = np.zeros(3)
+        for i in range(mesh.npanels):
+            ci = chebyshev.chebint(vals_to_coeffs(values[i], axis=0), lbnd=-1)
+            ref[i] = total + chebyshev.chebval(lobatto_nodes(order), ci).T * mesh.half[i]
+            total = ref[i, -1]
+        scale = np.abs(values).max() * (mesh.breaks[-1] - mesh.breaks[0])
+        assert np.abs(cumulative_integral(values, mesh.half) - ref).max() <= 1e-14 * scale
+        flat = cumulative_integral(values[:, :, 0], mesh.half)  # no trailing axis
+        assert np.abs(flat - ref[:, :, 0]).max() <= 1e-14 * scale

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bloch_green.potential import (CellConstants, ParseError, PeriodicPotential,
+from bloch_green.potential import (CellConstants, ConstSegment, CosineSegment,
+                                   LinearSegment, ParseError, PeriodicPotential,
                                    PotentialError, cell_constants, load_potential,
                                    square_potential)
 
@@ -79,6 +80,22 @@ def test_parse_errors_carry_line_numbers():
 def test_parse_rejects_non_finite(spec):
     with pytest.raises(ParseError, match="non-finite"):
         load_potential(spec)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: square_potential(float("nan"), 1.0, 0.6),
+    lambda: square_potential(1.0, float("inf"), 0.6),
+    lambda: PeriodicPotential(1.0, [ConstSegment(0.0, 1.0)], offset=float("nan")),
+    lambda: PeriodicPotential(1.0, [LinearSegment(0.0, float("-inf"), 1.0)]),
+    lambda: PeriodicPotential(1.0, [CosineSegment(0.3, float("nan"), 1.0)]),
+    lambda: PeriodicPotential(1.0, [CosineSegment(float("inf"), 0.0, 1.0)]),
+], ids=["square-height", "square-period", "offset", "linear", "cosine-phase",
+        "cosine-amp"])
+def test_construction_rejects_non_finite(build):
+    # the parser is not the only way in: a NaN height used to give Y = nan
+    # classified as an edge
+    with pytest.raises(PotentialError):
+        build()
 
 
 @pytest.mark.parametrize("entry", ["nan", "inf"])

@@ -392,3 +392,49 @@ def test_offset_cells_match_closed_form():
                 assert classify_band(pot, k) is cls, (i, k)
             else:
                 assert mono.band is None
+
+
+def _cell_Y_of_k(pot):
+    def Y_of_k(k):
+        U = evolve(pot, pot.offset + pot.period, pot.offset, k)
+        return 0.5 * (U.alpha_plus + U.alpha_minus)
+    return Y_of_k
+
+
+def _edges(Y_of_k, ks):
+    """Band edges between grid points, bisected on Y^2 - 1."""
+    g = [Y_of_k(k).real ** 2 - 1.0 for k in ks]
+    out = []
+    for lo, hi, glo, ghi in zip(ks[:-1], ks[1:], g[:-1], g[1:]):
+        if glo * ghi < 0:
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if (Y_of_k(mid).real ** 2 - 1.0) * glo > 0:
+                    lo = mid
+                else:
+                    hi = mid
+            out.append(0.5 * (lo + hi))
+    return out
+
+
+def test_band_Z_sign_matches_epsilon_limit():
+    # monodromy reads the in-band sign of Z off Im alpha_plus of the cell
+    # window; branch_Z takes it from the k + i*eps limit of the same Y
+    from test_acceptance import POT_POOL_SPECS
+
+    from bloch_green.potential import load_potential
+    specs = POT_POOL_SPECS + [
+        "period=1; offset=0.3; const V=0 len=0.6; const V=4 len=0.4"]
+    ks = np.linspace(0.01, 12.0, 151)
+    counts = {BandClass.BAND: 0, BandClass.EDGE: 0}
+    for spec in specs:
+        pot = load_potential(spec)
+        Y_of_k = _cell_Y_of_k(pot)
+        edges = _edges(Y_of_k, ks)
+        for k in list(ks) + [-k for k in ks[::10]] + edges + [-e for e in edges]:
+            mono = monodromy(pot, k)
+            if mono.band is BandClass.GAP:
+                continue
+            counts[mono.band] += 1
+            assert mono.Z == branch_Z(Y_of_k, k), (spec, k)
+    assert counts[BandClass.BAND] > 500 and counts[BandClass.EDGE] >= 40, counts
