@@ -22,7 +22,6 @@ __all__ = [
     "cheb_definite_integral_weights",
     "cumulative_integral",
     "PanelMesh",
-    "PanelFunction",
 ]
 
 
@@ -133,39 +132,3 @@ class PanelMesh:
         """Panel index per point; interior breakpoints belong to the right panel."""
         idx = np.searchsorted(self.breaks, x, side="right") - 1
         return np.clip(idx, 0, self.npanels - 1)
-
-
-class PanelFunction:
-    """Function values on a PanelMesh; supports spectral calculus per panel.
-
-    Values may be real or complex.  Discontinuities are representable at
-    panel boundaries only (each panel owns both its endpoints).
-    """
-
-    def __init__(self, mesh: PanelMesh, values: np.ndarray):
-        values = np.asarray(values)
-        if values.shape != mesh.nodes.shape:
-            raise ValueError("values shape does not match mesh")
-        self.mesh = mesh
-        self.values = values
-        self._coeffs = None
-
-    def coeffs(self) -> np.ndarray:
-        if self._coeffs is None:
-            self._coeffs = vals_to_coeffs(self.values, axis=1)
-        return self._coeffs
-
-    def antiderivative(self) -> "PanelFunction":
-        """Cumulative integral from the left end of the mesh, continuous across panels."""
-        return PanelFunction(self.mesh, cumulative_integral(self.values, self.mesh.half))
-
-    def integral(self):
-        w = cheb_definite_integral_weights(self.mesh.order)
-        return np.sum(self.coeffs() @ w * self.mesh.half)
-
-    def end_value(self):
-        return self.values[-1, -1]
-
-    def __mul__(self, values: np.ndarray) -> "PanelFunction":
-        """Pointwise product with values given on the same nodes."""
-        return PanelFunction(self.mesh, self.values * values)

@@ -10,15 +10,15 @@ Exit codes: 0 ok, 2 configuration error, 3 numeric failure, 4 selftest failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .green import green_exact, green_series
-from .potential import (ParseError, PotentialError, QuadratureError, cell_constants,
-                        load_potential_file)
+from .green import MAX_SERIES_ORDER, green_exact, green_series
+from .potential import ParseError, PotentialError, QuadratureError, load_potential_file
 from .transfer import SeriesDivergenceError, SingularIntervalError, monodromy
 from .wop import DomainError, ExtrapolationError, GridResolutionError, expansion_coeffs
 
@@ -51,6 +51,8 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if self.command == "selftest":
             return
+        if not all(map(math.isfinite, (self.k_min, self.k_max, self.x, self.y))):
+            raise ValueError("kmin, kmax, x and y must be finite")
         if self.potential_path is None:
             raise ValueError("--potential is required")
         if self.out is None:
@@ -60,12 +62,14 @@ class RunConfig:
                 raise ValueError("need kmin < kmax")
             if self.k_count < 2:
                 raise ValueError("need n >= 2")
-        if self.order not in (0, 1, 2):
-            raise ValueError("order must be 0, 1 or 2")
+        if not 0 <= self.order <= MAX_SERIES_ORDER:
+            raise ValueError(f"order must be in 0..{MAX_SERIES_ORDER}")
 
 
 def _fmt(v: float) -> str:
     v = float(v)
+    if not math.isfinite(v):
+        raise ArithmeticError(f"non-finite value {v!r} in an output row")
     if v == 0.0:
         v = 0.0  # normalize negative zero
     return format(v, ".17g")
@@ -100,11 +104,10 @@ def _cmd_green(config, pot, lines):
 def _cmd_expand(config, pot, lines):
     L = pot.period
     count = config.k_count
-    cc = cell_constants(pot)
     for i in range(count):
         x = pot.offset + (i + 0.5) * L / count
-        a, s = expansion_coeffs(pot, x, 2, cc=cc)
-        gs = green_series(pot, x, config.y, cc=cc, order=2)
+        a, s = expansion_coeffs(pot, x, 2)
+        gs = green_series(pot, x, config.y, order=2)
         lines.append(",".join([_fmt(x), _fmt(a[0]), _fmt(a[1]), _fmt(a[2]),
                                _fmt(s[0]), _fmt(s[2]), _fmt(gs.g_m1),
                                _fmt(gs.g_0), _fmt(gs.g_1), _fmt(gs.g_2)]))
@@ -143,7 +146,8 @@ def run(config: RunConfig) -> int:
 
     if config.command == "selftest":
         from .selftest import run_selftest
-        failures = run_selftest(sys.stdout)
+        with np.errstate(over="ignore", invalid="ignore"):
+            failures = run_selftest(sys.stdout)
         return EXIT_OK if failures == 0 else EXIT_SELFTEST
 
     try:
@@ -154,7 +158,9 @@ def run(config: RunConfig) -> int:
 
     lines = _header(config, _COLUMNS[config.command])
     try:
-        _RUNNERS[config.command](config, pot, lines)
+        # overflow ends as one numeric failure, from `evolve` or `_fmt`
+        with np.errstate(over="ignore", invalid="ignore"):
+            _RUNNERS[config.command](config, pot, lines)
     except _NUMERIC_ERRORS as exc:
         print(f"numeric failure in {config.command}: {type(exc).__name__}: {exc}",
               file=sys.stderr)

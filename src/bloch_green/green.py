@@ -35,9 +35,9 @@ import numpy as np
 
 from .halfline import _s_values
 from .iterint import bracket, cell_Q
-from .potential import CellConstants, PeriodicPotential, cell_constants
+from .potential import CellConstants, PeriodicPotential
 from .transfer import DEFAULT_RTOL, BandClass, branch_Z, evolve, monodromy
-from .wop import expansion_coeffs
+from .wop import _own_cell_constants, _s2, expansion_coeffs
 
 __all__ = [
     "GreenValue",
@@ -185,17 +185,10 @@ def square_well_oracle(p: SquareWellParams, x: float, y: float, k: complex) -> c
 # ---------------------------------------------------------------------------
 # low-energy series
 
-def _s2_profile(pot, z: float, cc: CellConstants, q: float, tol: float) -> float:
-    L = pot.period
-    pmp = bracket(pot, "+-+", z - L, z, tol)
-    return (math.exp(pot.V(z) - cc.V0) / cc.L0
-            * (math.exp(-cc.V0) * pmp - (cc.L0 ** 4 / 4.0 + q) / (2.0 * cc.L0)))
-
-
-def _endpoint_factor(pot, z: float, cc: CellConstants, tol: float):
+def _endpoint_factor(pot, z: float):
     """(c_2, c_4) with ((1 - S(z, t)) / (1 - S(z, 0)))^(-1/2)
     = 1 + c_2 t^2 + c_4 t^4 + O(t^6), from s_0, s_2, s_4 at z."""
-    _, s = expansion_coeffs(pot, z, 4, cc=cc, tol=tol)
+    _, s = expansion_coeffs(pot, z, 4)
     u2 = float(s[2] / s[0])
     u4 = float(s[4] / s[0])
     return -0.5 * u2, 0.375 * u2 * u2 - 0.5 * u4
@@ -203,10 +196,12 @@ def _endpoint_factor(pot, z: float, cc: CellConstants, tol: float):
 
 MAX_SERIES_ORDER = 3
 
+# Gauss points per panel of the integral of s_2 over [y, x]
+SERIES_QUAD_ORDER = 16
+
 
 def green_series(pot: PeriodicPotential, x: float, y: float,
-                 cc: CellConstants | None = None, tol: float = 1e-12,
-                 quad_order: int = 16, order: int = MAX_SERIES_ORDER) -> GreenSeries:
+                 cc: CellConstants | None = None, order: int = MAX_SERIES_ORDER) -> GreenSeries:
     """Low-energy coefficients of the Green function through order k^order.
 
     `order` runs from 0 to 3; coefficients above it are returned as zero,
@@ -216,7 +211,8 @@ def green_series(pot: PeriodicPotential, x: float, y: float,
     `expansion_coeffs` gives (64 one-period propagations per endpoint).
 
     Raises `ExtrapolationError` at order 3 when that contour disagrees
-    with the closed forms at either endpoint.
+    with the closed forms at either endpoint.  `cc`, if given, must be
+    `cell_constants(pot)`.
     """
     if not 0 <= order <= MAX_SERIES_ORDER:
         raise ValueError(f"order must be in 0..{MAX_SERIES_ORDER}")
@@ -224,37 +220,36 @@ def green_series(pot: PeriodicPotential, x: float, y: float,
     y = float(y)
     if x < y:
         x, y = y, x
-    if cc is None:
-        cc = cell_constants(pot, tol)
+    cc = _own_cell_constants(pot, cc)
     L = pot.period
     vx = pot.V(x)
     vy = pot.V(y)
     envelope = math.exp(-0.5 * (vx + vy))
-    plus_xy = bracket(pot, "+", y, x, tol) if x > y else 0.0
+    plus_xy = bracket(pot, "+", y, x) if x > y else 0.0
     q_1 = math.exp(-cc.V0) * plus_xy
     g_m1 = 0.5 * envelope * math.exp(cc.V0)
     g_0 = 0.5 * envelope * plus_xy
     g_1 = g_2 = g_3 = q_3 = 0.0
     if order >= 1:
-        q = cell_Q(pot, tol)
-        pmp_x = bracket(pot, "+-+", x - L, x, tol)
-        pmp_y = bracket(pot, "+-+", y - L, y, tol)
+        q = cell_Q(pot)
+        pmp_x = bracket(pot, "+-+", x - L, x)
+        pmp_y = bracket(pot, "+-+", y - L, y)
         g_1 = (envelope / (4.0 * cc.L0)
                * (pmp_x + pmp_y + cc.L0 * math.exp(-cc.V0) * plus_xy ** 2
                   - math.exp(cc.V0) / cc.L0 * (cc.L0 ** 4 / 4.0 + q)))
     if order >= 2:
         if x > y:
-            mesh = pot.mesh(y, x, quad_order, max_panel=pot.period / 2.0)
-            nodes, weights = mesh.gauss_rule(quad_order)
-            int_s2 = float(np.dot(weights, [_s2_profile(pot, z, cc, q, tol) for z in nodes]))
+            mesh = pot.mesh(y, x, SERIES_QUAD_ORDER, max_panel=pot.period / 2.0)
+            nodes, weights = mesh.gauss_rule(SERIES_QUAD_ORDER)
+            int_s2 = float(np.dot(weights, [_s2(pot, z) for z in nodes]))
         else:
             int_s2 = 0.0
         q_3 = -int_s2
         g_2 = (q_1 * g_1
                - (math.exp(-3.0 * cc.V0) / 3.0 * plus_xy ** 3 + int_s2) * g_m1)
     if order >= 3:
-        c2x, c4x = _endpoint_factor(pot, x, cc, tol)
-        c2y, c4y = (c2x, c4x) if x == y else _endpoint_factor(pot, y, cc, tol)
+        c2x, c4x = _endpoint_factor(pot, x)
+        c2y, c4y = (c2x, c4x) if x == y else _endpoint_factor(pot, y)
         g_3 = g_m1 * (c4x + c4y + c2x * c2y + 0.5 * (c2x + c2y) * q_1 ** 2
                       + q_1 ** 4 / 24.0 + q_1 * q_3)
     return GreenSeries(g_m1=g_m1, g_0=g_0, g_1=g_1, g_2=g_2, q_1=q_1, q_3=q_3,

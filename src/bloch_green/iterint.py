@@ -3,17 +3,17 @@
 The n-fold simplex integral for a sign word (sigma_1 .. sigma_n) is computed
 by the nested cumulative scheme J_m(t) = integral_a^t e^{sigma_m V} J_{m-1},
 one spectral antiderivative pass per letter, so the cost is linear in the
-word length.  Cell-window values are cached per potential.
+word length.  Bracket values and the cell invariant are memoised on the
+potential.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._spectral import PanelFunction
+from ._spectral import cumulative_integral
 from .potential import QuadratureError
 
 __all__ = ["SignWord", "bracket", "cell_Q", "insertions", "alternating_tail_values"]
@@ -22,8 +22,8 @@ MAX_WORD_LEN = 8
 
 _ORDERS = (20, 30, 45, 64)
 
-_cache: dict = {}
-_cache_lock = threading.Lock()
+# relative convergence tolerance of every bracket
+BRACKET_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,14 @@ def _nested_pass(pot, signs, a, b, order) -> np.ndarray:
     v = pot.V_on_mesh(mesh)
     weights = {1: np.exp(v), -1: np.exp(-v)}
     out = np.empty(len(signs))
-    J = None
+    J = 1.0
     for m, s in enumerate(signs):
-        cur = PanelFunction(mesh, weights[s]) if J is None else J * weights[s]
-        J = cur.antiderivative()
-        out[m] = float(J.end_value())
+        J = cumulative_integral(J * weights[s], mesh.half)
+        out[m] = J[-1, -1]
     return out
 
 
-def bracket(pot, word, a: float, b: float, tol: float = 1e-12) -> float:
+def bracket(pot, word, a: float, b: float) -> float:
     """Simplex integral of the given word over a <= z_1 <= ... <= z_n <= b."""
     w = SignWord.parse(word)
     if not (np.isfinite(a) and np.isfinite(b)):
@@ -89,37 +88,35 @@ def bracket(pot, word, a: float, b: float, tol: float = 1e-12) -> float:
         raise ValueError("need a <= b")
     if b == a:
         return 0.0
-    key = (pot.fingerprint, w.signs, float(a), float(b), float(tol))
-    with _cache_lock:
-        if key in _cache:
-            return _cache[key]
-    prev = None
-    val = None
-    for order in _ORDERS:
-        val = float(_nested_pass(pot, w.signs, a, b, order)[-1])
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-            break
-        prev = val
-    else:
+
+    def compute():
+        prev = None
+        for order in _ORDERS:
+            val = float(_nested_pass(pot, w.signs, a, b, order)[-1])
+            if prev is not None and abs(val - prev) <= BRACKET_TOL * max(1.0, abs(val)):
+                return val
+            prev = val
         raise QuadratureError(
-            f"bracket {w} over [{a}, {b}] did not converge to {tol:g}")
-    with _cache_lock:
-        _cache[key] = val
-    return val
+            f"bracket {w} over [{a}, {b}] did not converge to {BRACKET_TOL:g}")
+
+    return pot._cached(("bracket", w.signs, float(a), float(b)), compute)
 
 
-def cell_Q(pot, tol: float = 1e-12) -> float:
+def cell_Q(pot) -> float:
     """The cell invariant [-+-+] + [+-+-], checked against a shifted window."""
-    top = pot.offset + pot.period
-    L = pot.period
-    q = bracket(pot, "-+-+", top - L, top, tol) + bracket(pot, "+-+-", top - L, top, tol)
-    shifted = top - 0.37109375 * L
-    q2 = (bracket(pot, "-+-+", shifted - L, shifted, tol)
-          + bracket(pot, "+-+-", shifted - L, shifted, tol))
-    if abs(q - q2) > 50 * tol * max(1.0, abs(q)):
-        raise QuadratureError(
-            f"cell invariant not window-independent: {q!r} vs {q2!r}")
-    return q
+    def compute():
+        top = pot.offset + pot.period
+        L = pot.period
+        q = bracket(pot, "-+-+", top - L, top) + bracket(pot, "+-+-", top - L, top)
+        shifted = top - 0.37109375 * L
+        q2 = (bracket(pot, "-+-+", shifted - L, shifted)
+              + bracket(pot, "+-+-", shifted - L, shifted))
+        if abs(q - q2) > 50 * BRACKET_TOL * max(1.0, abs(q)):
+            raise QuadratureError(
+                f"cell invariant not window-independent: {q!r} vs {q2!r}")
+        return q
+
+    return pot._cached(("cell_Q",), compute)
 
 
 def alternating_tail_values(pot, a: float, b: float, first_sign: int, count: int,

@@ -11,11 +11,12 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._spectral import PanelFunction, PanelMesh
+from ._spectral import PanelMesh, cheb_definite_integral_weights, vals_to_coeffs
 
 __all__ = [
     "PotentialError",
@@ -158,7 +159,8 @@ class PointEval:
 
 
 class PeriodicPotential:
-    """Period-L piecewise potential; immutable after construction."""
+    """Period-L piecewise potential; immutable after construction.  Data
+    that depend on it alone are memoised on it and die with it."""
 
     def __init__(self, period: float, segments, offset: float = 0.0):
         if not (period > 0 and math.isfinite(period)):
@@ -181,7 +183,30 @@ class PeriodicPotential:
         self.segments = segments
         self.starts = np.concatenate(([0.0], np.cumsum([s.length for s in segments])))[:-1]
         self._jumps = self._boundary_jumps()
-        self._fingerprint = None
+        self._memo = {}
+        self._memo_lock = threading.Lock()
+
+    def _cached(self, key, compute):
+        """compute(), memoised under key.  The lock guards the dict only:
+        compute runs outside it, so it may use the memo itself.  Two threads
+        that miss together both compute the same deterministic value, and
+        the first one stored is kept."""
+        with self._memo_lock:
+            if key in self._memo:
+                return self._memo[key]
+        value = compute()
+        with self._memo_lock:
+            return self._memo.setdefault(key, value)
+
+    def __getstate__(self):
+        with self._memo_lock:
+            state = dict(self.__dict__, _memo=dict(self._memo))
+        del state["_memo_lock"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._memo_lock = threading.Lock()
 
     def _boundary_jumps(self):
         # delta at each segment start = right limit - left limit there
@@ -198,14 +223,9 @@ class PeriodicPotential:
 
     @property
     def fingerprint(self) -> str:
-        if self._fingerprint is None:
-            text = repr((self.period, self.offset,
-                         tuple((s.kind, tuple(sorted(s.__dict__.items()))
-                                if not isinstance(s, TableSegment)
-                                else (s.xs, s.vs, s.length))
-                               for s in self.segments)))
-            self._fingerprint = hashlib.sha1(text.encode()).hexdigest()
-        return self._fingerprint
+        """SHA-1 of the defining data (the segment reprs omit interpolants)."""
+        return self._cached("fingerprint", lambda: hashlib.sha1(
+            repr((self.period, self.offset, self.segments)).encode()).hexdigest())
 
     # -- coordinate reduction ------------------------------------------------
 
@@ -488,7 +508,8 @@ def _cell_integral(pot: PeriodicPotential, weight_sign: int, x_top: float, tol: 
     prev = None
     for order in (16, 24, 36, 54):
         mesh = pot.mesh(a, x_top, order, max_panel=pot.period / 2)
-        val = float(PanelFunction(mesh, np.exp(weight_sign * pot.V_on_mesh(mesh))).integral())
+        coeffs = vals_to_coeffs(np.exp(weight_sign * pot.V_on_mesh(mesh)), axis=1)
+        val = float(np.sum(coeffs @ cheb_definite_integral_weights(order) * mesh.half))
         if prev is not None and abs(val - prev) <= tol:
             return val
         prev = val
@@ -498,14 +519,17 @@ def _cell_integral(pot: PeriodicPotential, weight_sign: int, x_top: float, tol: 
 
 def cell_constants(pot: PeriodicPotential, tol: float = 1e-12,
                    x_top: float | None = None) -> CellConstants:
-    """Cell constants to absolute quadrature tolerance tol; window start is
-    immaterial and may be overridden for invariance checks."""
+    """Cell constants to absolute quadrature tolerance tol, memoised on the
+    potential; window start is immaterial and may be overridden for
+    invariance checks."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     if x_top is None:
         x_top = pot.offset + pot.period
-    M = _cell_integral(pot, -1, x_top, tol)
-    P = _cell_integral(pot, +1, x_top, tol)
-    L0 = math.sqrt(P * M)
-    V0 = 0.5 * math.log(P / M)
-    return CellConstants(M=M, P=P, L0=L0, V0=V0)
+
+    def compute():
+        M = _cell_integral(pot, -1, x_top, tol)
+        P = _cell_integral(pot, +1, x_top, tol)
+        return CellConstants(M=M, P=P, L0=math.sqrt(P * M), V0=0.5 * math.log(P / M))
+
+    return pot._cached(("cell_constants", float(tol), float(x_top)), compute)

@@ -60,7 +60,7 @@ def _checks():
         return worst, 1e-10
 
     def operator_identities():
-        grid = wop.WopGrid(pot, cc=cc)
+        grid = wop.WopGrid(pot)
         xs = grid.mesh.nodes[:, :, None]
         w = grid.w_nodes[None, None, :]
         vals = (np.sin(2 * np.pi * xs) + 0.5 * np.cos(4 * np.pi * xs)) * np.cos(0.4 * (w - cc.V0))
@@ -76,7 +76,7 @@ def _checks():
         for x in (0.25, 0.7):
             for w in (cc.V0 - 1.0, cc.V0 + 0.8):
                 worst = max(worst, abs(series.rbar[2].eval(x, w)
-                                       - wop.rbar_closed(pot, x, w, 2, cc=cc)))
+                                       - wop.rbar_closed(pot, x, w, 2)))
         return worst, 1e-6
 
     def oracle_match():

@@ -430,7 +430,7 @@ def _uhp_Z(Y: complex) -> complex:
 
 def _classify(Y: float, tol: float = EDGE_TOL) -> BandClass:
     """Band/gap/edge class of a real k from its real half-trace Y."""
-    y2 = Y ** 2
+    y2 = Y * Y
     if y2 < 1.0 - tol:
         return BandClass.BAND
     if y2 > 1.0 + tol:
@@ -442,7 +442,9 @@ def _real_Z(Y: float, band: BandClass, sign: float) -> complex:
     """Upper-half-plane limit of Z at a real k: the closed form in a gap,
     sqrt(1 - Y^2) carrying the given sign in a band and at an edge."""
     if band is BandClass.GAP:
-        return 1j * math.copysign(1.0, Y) * math.sqrt(Y * Y - 1.0)
+        # sqrt(Y^2 - 1) rounds to |Y| long before Y^2 overflows
+        root = abs(Y) if abs(Y) > 1e150 else math.sqrt(Y * Y - 1.0)
+        return 1j * math.copysign(1.0, Y) * root
     return complex(math.copysign(math.sqrt(max(0.0, 1.0 - Y * Y)), sign))
 
 

@@ -59,10 +59,9 @@ class ExtrapolationError(RuntimeError):
 class WopGrid:
     """Shared tensor grid over one cell x window [x0 - L, x0] and a W window."""
 
-    def __init__(self, pot, cc: CellConstants | None = None, x_order: int = 20,
-                 w_order: int = 40, w_span: float = 3.0):
+    def __init__(self, pot, x_order: int = 20, w_order: int = 40, w_span: float = 3.0):
         self.pot = pot
-        self.cc = cc if cc is not None else cell_constants(pot)
+        self.cc = cell_constants(pot)
         if w_order % 2 == 0:
             w_order += 1  # odd order keeps W = V0 off the grid
         self.w_order = w_order
@@ -270,32 +269,30 @@ def rbar_numeric(pot, n: int, grid: WopGrid | None = None) -> ExpansionSeries:
     return ExpansionSeries(order=n, rbar=rbars)
 
 
-def rbar_closed(pot, x: float, W: float, n: int, cc: CellConstants | None = None,
-                tol: float = 1e-12) -> float:
+def rbar_closed(pot, x: float, W: float, n: int) -> float:
     """Closed forms of the first three expansion coefficients."""
     if n not in (0, 1, 2):
         raise ValueError("closed forms exist for n in {0, 1, 2} only")
-    if cc is None:
-        cc = cell_constants(pot, tol)
+    cc = cell_constants(pot)
     dw = W - cc.V0
     if n == 0:
         return -math.tanh(0.5 * dw)
     L = pot.period
-    pm = bracket(pot, "+-", x - L, x, tol)
-    mp = bracket(pot, "-+", x - L, x, tol)
+    pm = bracket(pot, "+-", x - L, x)
+    mp = bracket(pot, "-+", x - L, x)
     if n == 1:
         return (pm - mp) / (4.0 * cc.L0 * math.cosh(0.5 * dw) ** 2)
-    pmp = bracket(pot, "+-+", x - L, x, tol)
-    mpm = bracket(pot, "-+-", x - L, x, tol)
-    q = cell_Q(pot, tol)
+    pmp = bracket(pot, "+-+", x - L, x)
+    mpm = bracket(pot, "-+-", x - L, x)
+    q = cell_Q(pot)
     brace = (math.exp(-0.5 * (W + cc.V0)) * pmp
              - math.exp(0.5 * (W + cc.V0)) * mpm
              + (cc.L0 ** 4 / 4.0 + q) / cc.L0 * math.sinh(0.5 * dw))
     return brace / (4.0 * cc.L0 * math.cosh(0.5 * dw) ** 3)
 
 
-def _taylor_coeffs_a(pot, x: float, N: int, cc: CellConstants,
-                     rho: float | None = None, npts: int = 64) -> np.ndarray:
+def _taylor_coeffs_a(pot, x: float, N: int, rho: float | None = None,
+                     npts: int = 64) -> np.ndarray:
     """Taylor coefficients of S_r(x, k) - 1/2 in powers of ik.
 
     The half-line quantities are analytic in a disk around k = 0 (the
@@ -306,8 +303,9 @@ def _taylor_coeffs_a(pot, x: float, N: int, cc: CellConstants,
     from .halfline import _s_values
     from .transfer import evolve
 
+    L0 = cell_constants(pot).L0
     if rho is None:
-        rho = 0.4 / cc.L0
+        rho = 0.4 / L0
     theta = 2.0 * np.pi * np.arange(npts) / npts
     zeta = rho * np.exp(1j * theta)
     vals = np.empty(npts, dtype=complex)
@@ -316,44 +314,59 @@ def _taylor_coeffs_a(pot, x: float, N: int, cc: CellConstants,
         U = evolve(pot, x, x - pot.period, k)
         Y = 0.5 * (U.alpha_plus + U.alpha_minus)
         s = np.sqrt((1.0 - Y) * (1.0 + Y) + 0j)
-        if (s / (k * cc.L0)).real < 0.0:
+        if (s / (k * L0)).real < 0.0:
             s = -s
         vals[j] = _s_values(U, s, x, k)[0] - 0.5
     spectrum = np.fft.fft(vals) / npts
     return (spectrum[: N + 1] / rho ** np.arange(N + 1)).real
 
 
-def expansion_coeffs(pot, x: float, N: int, cc: CellConstants | None = None,
-                     tol: float = 1e-12, consistency_tol: float = 1e-7):
+def _own_cell_constants(pot, cc: CellConstants | None) -> CellConstants:
+    """cell_constants(pot); a `cc` passed by a caller must equal it."""
+    own = cell_constants(pot)
+    if cc is not None and cc != own:
+        raise ValueError("cc must equal cell_constants(pot)")
+    return own
+
+
+def _s2(pot, x: float) -> float:
+    """s_2 = 2 a_2 at x, the bracket-integral closed form."""
+    cc = cell_constants(pot)
+    pmp = bracket(pot, "+-+", x - pot.period, x)
+    return (math.exp(pot.V(x) - cc.V0) / cc.L0
+            * (math.exp(-cc.V0) * pmp - (cc.L0 ** 4 / 4.0 + cell_Q(pot)) / (2.0 * cc.L0)))
+
+
+# largest disagreement of the contour route with the closed forms at orders 0-2
+CONTOUR_TOL = 1e-7
+
+
+def expansion_coeffs(pot, x: float, N: int, cc: CellConstants | None = None):
     """Coefficient arrays (a_0..a_N, s_0..s_N) of the half-line S expansion.
 
     Orders up to 2 come from the bracket-integral closed forms.  Higher
     orders are Taylor coefficients of S_r - 1/2 extracted by contour
     quadrature; the overlap with the closed forms is checked so a bad
     contour or branch cannot pass silently.  Odd s entries are zero.
+    `cc`, if given, must be `cell_constants(pot)`.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    if cc is None:
-        cc = cell_constants(pot, tol)
+    cc = _own_cell_constants(pot, cc)
     L = pot.period
-    vx = pot.V(x)
     a = np.zeros(N + 1)
-    pref = math.exp(vx - cc.V0)
+    pref = math.exp(pot.V(x) - cc.V0)
     a[0] = -0.5 * pref
     if N >= 1:
-        pm = bracket(pot, "+-", x - L, x, tol)
-        mp = bracket(pot, "-+", x - L, x, tol)
+        pm = bracket(pot, "+-", x - L, x)
+        mp = bracket(pot, "-+", x - L, x)
         a[1] = pref * (pm - mp) / (4.0 * cc.L0)
     if N >= 2:
-        pmp = bracket(pot, "+-+", x - L, x, tol)
-        q = cell_Q(pot, tol)
-        a[2] = (pref / (2.0 * cc.L0)
-                * (math.exp(-cc.V0) * pmp - (cc.L0 ** 4 / 4.0 + q) / (2.0 * cc.L0)))
+        a[2] = 0.5 * _s2(pot, x)
     if N >= 3:
-        a_taylor = _taylor_coeffs_a(pot, x, N, cc)
+        a_taylor = _taylor_coeffs_a(pot, x, N)
         mismatch = float(np.abs(a_taylor[: 3] - a[: 3]).max())
-        if mismatch > consistency_tol:
+        if mismatch > CONTOUR_TOL:
             raise ExtrapolationError(
                 f"contour route disagrees with closed forms by {mismatch:.2e} "
                 f"at x = {x}; contour radius or branch is unsound here")

@@ -218,7 +218,7 @@ def test_series_default_order_on_pool(pool):
 
 def test_criterion_6_operator_identities(pot):
     cc = cell_constants(pot)
-    grid = wop.WopGrid(pot, cc=cc)
+    grid = wop.WopGrid(pot)
     rng = np.random.default_rng(7)
     L = pot.period
     xs = grid.mesh.nodes[:, :, None]
@@ -265,19 +265,19 @@ def test_criterion_7_coefficient_cross_validation(pot, cc):
     cc_cos = cell_constants(cos_pot)
     worst = 0.0
     for p, c, xs in ((pot, cc, (0.15, 0.4, 0.83)), (cos_pot, cc_cos, (0.3, 1.1))):
-        grid = wop.WopGrid(p, cc=c)
+        grid = wop.WopGrid(p)
         series = wop.rbar_numeric(p, 2, grid=grid)
         for n in (0, 1, 2):
             for x in xs:
                 for dw in (-1.3, 0.4, 2.0):
                     got = series.rbar[n].eval(x, c.V0 + dw)
-                    want = wop.rbar_closed(p, x, c.V0 + dw, n, cc=c)
+                    want = wop.rbar_closed(p, x, c.V0 + dw, n)
                     worst = max(worst, abs(got - want))
     # truncation-order slope test at the band bottom
     x = 0.4
     wv = pot.V(x)
     ks = np.logspace(-3, -1, 9)
-    rb = [wop.rbar_closed(pot, x, wv, n, cc=cc) for n in (0, 1, 2)]
+    rb = [wop.rbar_closed(pot, x, wv, n) for n in (0, 1, 2)]
     refl = np.array([reflect_halfline(pot, x, float(k))[0] for k in ks])
     slopes = []
     for N in (0, 1, 2):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -196,3 +197,81 @@ def test_cli_argument_parsing(square_file, tmp_path):
 def test_selftest_passes():
     cfg = RunConfig(command="selftest")
     assert run(cfg) == EXIT_OK
+
+
+def _strong_cell_runs(tmp_path, level):
+    """bands and green rows of the cell with a jump of `level`."""
+    pot = tmp_path / f"strong{level}.pot"
+    pot.write_text(f"period=1; const V=0 len=0.5; const V={level} len=0.5\n")
+    rows = {}
+    for command in ("bands", "green"):
+        out = tmp_path / f"{command}{level}.csv"
+        cfg = RunConfig(command=command, potential_path=str(pot), k_count=40,
+                        x=0.4, y=0.1, out=str(out))
+        assert run(cfg) == EXIT_OK, (level, command)
+        rows[command] = read_rows(out)[1]
+    return rows
+
+
+def test_strong_cells_stay_finite(tmp_path):
+    # |Y| passes 1e154 from a jump of about 400: the band class and the gap
+    # Z must not square it, and the Green function saturates, so it matches
+    # the V = 300 cell
+    ref = _strong_cell_runs(tmp_path, 300)
+    for level in (400, 600, 700):
+        rows = _strong_cell_runs(tmp_path, level)
+        for command, flag_col in (("bands", 2), ("green", 5)):
+            assert [r[flag_col] for r in rows[command]] == [r[flag_col] for r in ref[command]]
+            for r in rows[command]:
+                assert all(math.isfinite(float(v)) for i, v in enumerate(r) if i != flag_col)
+        for r, r0 in zip(rows["green"], ref["green"]):
+            g = complex(float(r[1]), float(r[2]))
+            g0 = complex(float(r0[1]), float(r0[2]))
+            assert abs(g - g0) <= 1e-10 * abs(g0), (level, r[0])
+
+
+@pytest.mark.parametrize("command", ["bands", "green"])
+def test_numeric_failure_is_one_stderr_line(tmp_path, command):
+    pot = tmp_path / "jump.pot"
+    pot.write_text("period=1\nsegment const V=0 len=0.5\nsegment const V=800 len=0.5\n")
+    out = tmp_path / "o.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bloch_green.cli", "--cmd", command, "--potential",
+         str(pot), "--n", "5", "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == EXIT_NUMERIC
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith(f"numeric failure in {command}: OverflowError: ")
+    assert not out.exists()
+
+
+def test_row_formatter_rejects_non_finite():
+    from bloch_green.cli import _fmt
+    for v in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ArithmeticError):
+            _fmt(v)
+
+
+def test_non_finite_points_are_config_errors(square_file, tmp_path):
+    for field in ("k_min", "k_max", "x", "y"):
+        cfg = RunConfig(command="green", potential_path=square_file,
+                        out=str(tmp_path / "o.csv"), **{field: math.nan})
+        assert run(cfg) == EXIT_CONFIG, field
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_compare_order_reaches_series_max(square_file, tmp_path):
+    errs = {}
+    for order in (2, 3):
+        out = tmp_path / f"compare{order}.csv"
+        cfg = RunConfig(command="compare", potential_path=square_file, k_min=0.05,
+                        k_max=0.5, k_count=6, order=order, out=str(out))
+        assert run(cfg) == EXIT_OK
+        errs[order] = [float(r[3]) for r in read_rows(out)[1]]
+    # the (ik)^3 term shrinks the error at every small k
+    assert all(e3 < e2 for e2, e3 in zip(errs[2], errs[3]))
+    cfg = RunConfig(command="compare", potential_path=square_file,
+                    out=str(tmp_path / "o.csv"), order=4)
+    assert run(cfg) == EXIT_CONFIG

@@ -222,8 +222,8 @@ def test_series_endpoint_expansion_reproduces_closed_forms(pot_square, pot_cosin
     for pot, x, y in ((pot_square, 0.4, 0.1), (pot_cosine, 1.1, 0.3)):
         cc = cell_constants(pot)
         gs = green_series(pot, x, y, cc=cc)
-        c2x, _ = _endpoint_factor(pot, x, cc, 1e-12)
-        c2y, _ = _endpoint_factor(pot, y, cc, 1e-12)
+        c2x, _ = _endpoint_factor(pot, x)
+        c2y, _ = _endpoint_factor(pot, y)
         e0 = 2.0 * gs.g_m1
         e2 = e0 * (c2x + c2y)
         q1, q3 = gs.q_1, gs.q_3

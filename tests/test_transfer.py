@@ -438,3 +438,13 @@ def test_band_Z_sign_matches_epsilon_limit():
             counts[mono.band] += 1
             assert mono.Z == branch_Z(Y_of_k, k), (spec, k)
     assert counts[BandClass.BAND] > 500 and counts[BandClass.EDGE] >= 40, counts
+
+
+def test_band_class_and_gap_Z_past_square_overflow():
+    # Y^2 overflows past |Y| ~ 1.3e154; neither the class nor Z may need it
+    from bloch_green.transfer import _classify, _real_Z
+    for Y in (1e200, -1e200, 1e151, -3e300):
+        assert _classify(Y) is BandClass.GAP
+        assert _real_Z(Y, BandClass.GAP, 1.0) == 1j * Y
+    for Y in (1.5, -1e8, 1e150):
+        assert _real_Z(Y, BandClass.GAP, 1.0) == 1j * math.copysign(math.sqrt(Y * Y - 1.0), Y)

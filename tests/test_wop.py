@@ -14,13 +14,13 @@ A, B, C = 0.6, 0.4, 1.0
 
 
 @pytest.fixture(scope="module")
-def grid_square(pot_square, cc_square):
-    return WopGrid(pot_square, cc=cc_square)
+def grid_square(pot_square):
+    return WopGrid(pot_square)
 
 
 @pytest.fixture(scope="module")
-def grid_cosine(pot_cosine, cc_cosine):
-    return WopGrid(pot_cosine, cc=cc_cosine)
+def grid_cosine(pot_cosine):
+    return WopGrid(pot_cosine)
 
 
 def random_zero_mean(grid, rng):
@@ -136,7 +136,7 @@ def test_rbar0_uniform_in_x(grid_square, pot_square, cc_square):
 def test_rbar1_square_polynomial(pot_square, cc_square):
     # [+-] - [-+] = 2 b sinh(C) (2x - a) inside the low segment
     for x in (0.2, 0.4):
-        val = rbar_closed(pot_square, x, cc_square.V0, 1, cc=cc_square)
+        val = rbar_closed(pot_square, x, cc_square.V0, 1)
         want = 2 * B * math.sinh(C) * (2 * x - A) / (4.0 * cc_square.L0)
         assert val == pytest.approx(want, abs=1e-12)
 
@@ -154,7 +154,7 @@ def test_rbar_numeric_matches_closed(n, pot_square, pot_cosine, cc_square,
         for x in xs:
             for w in (cc.V0 - 1.3, cc.V0 + 0.4, cc.V0 + 2.0):
                 got = series.rbar[n].eval(x, w)
-                want = rbar_closed(pot, x, w, n, cc=cc)
+                want = rbar_closed(pot, x, w, n)
                 assert got == pytest.approx(want, abs=1e-6), (pot, n, x, w)
 
 
@@ -187,7 +187,7 @@ def test_expansion_coeffs_free_vanish(pot_free):
 def test_expansion_limit_reproduces_closed_orders(pot_square, cc_square):
     # the W -> -infinity extraction, run on the numeric grid functions,
     # must reproduce the closed-form a_1 and a_2
-    grid = WopGrid(pot_square, cc=cc_square, w_order=49)
+    grid = WopGrid(pot_square, w_order=49)
     series = rbar_numeric(pot_square, 2, grid=grid)
     a_closed, _ = expansion_coeffs(pot_square, 0.4, 2, cc=cc_square)
     x = 0.4
@@ -198,7 +198,7 @@ def test_expansion_limit_reproduces_closed_orders(pot_square, cc_square):
 
 def test_contour_route_on_smooth_potential(pot_cosine, cc_cosine):
     # the contour extraction is not specific to piecewise-constant cells
-    t = wop._taylor_coeffs_a(pot_cosine, 0.7, 3, cc_cosine)
+    t = wop._taylor_coeffs_a(pot_cosine, 0.7, 3)
     a, _ = expansion_coeffs(pot_cosine, 0.7, 2, cc=cc_cosine)
     assert np.abs(t[:3] - a).max() < 1e-8
 
@@ -208,8 +208,8 @@ def test_expansion_coeffs_higher_orders_contour_stable(pot_square, cc_square):
     # independent contour radii, and against the closed overlap orders
     x = 0.4
     a1, s1 = expansion_coeffs(pot_square, x, 4, cc=cc_square)
-    t1 = wop._taylor_coeffs_a(pot_square, x, 4, cc_square, rho=0.25)
-    t2 = wop._taylor_coeffs_a(pot_square, x, 4, cc_square, rho=0.5, npts=96)
+    t1 = wop._taylor_coeffs_a(pot_square, x, 4, rho=0.25)
+    t2 = wop._taylor_coeffs_a(pot_square, x, 4, rho=0.5, npts=96)
     assert np.all(np.isfinite(a1))
     assert s1[3] == 0.0
     assert s1[4] == pytest.approx(2 * a1[4], abs=1e-15)
@@ -219,12 +219,12 @@ def test_expansion_coeffs_higher_orders_contour_stable(pot_square, cc_square):
         assert a1[n] == pytest.approx(t1[n], rel=1e-8, abs=1e-11)
 
 
-def test_truncation_order_slopes(pot_square, cc_square):
+def test_truncation_order_slopes(pot_square):
     # |sum_0^N (ik)^n rbar_n - R_r| scales like k^{N+1} at the band bottom
     x = 0.4
     w = pot_square.V(x)
     ks = np.logspace(-3, -1, 9)
-    rb = [rbar_closed(pot_square, x, w, n, cc=cc_square) for n in (0, 1, 2)]
+    rb = [rbar_closed(pot_square, x, w, n) for n in (0, 1, 2)]
     refl = np.array([reflect_halfline(pot_square, x, float(k))[0] for k in ks])
     for N in (0, 1, 2):
         approx = sum((1j * ks) ** n * rb[n] for n in range(N + 1))
@@ -238,7 +238,7 @@ def test_truncated_series_matches_dressed_reflection(pot_square, cc_square):
     # half-line coefficient (the Mobius image of the plain one)
     x = 0.4
     W = cc_square.V0 + 0.3
-    rb = [rbar_closed(pot_square, x, W, n, cc=cc_square) for n in (0, 1, 2)]
+    rb = [rbar_closed(pot_square, x, W, n) for n in (0, 1, 2)]
     worst = 0.0
     for k in (5e-3, 1e-2, 2e-2):
         Rr, _ = reflect_halfline(pot_square, x, k)
@@ -275,7 +275,7 @@ def test_rbar_periodic_extension_consistent(pot_square, cc_square, grid_square):
 
 def test_grid_w_resolution_guard(pot_square, cc_square):
     # a deliberately coarse W grid cannot resolve the seed profile
-    grid = WopGrid(pot_square, cc=cc_square, w_order=7, w_span=6.0)
+    grid = WopGrid(pot_square, w_order=7, w_span=6.0)
     seed = grid.sample(lambda v, w: np.tanh(0.5 * (w - v))
                        - np.tanh(0.5 * (w - cc_square.V0)))
     with pytest.raises(wop.GridResolutionError):
