@@ -6,12 +6,12 @@ amplitude pair at the source point is fixed by the half-line data alone,
 (S_l(y), 1 - S_l(y)), and the Wronskian with the left-decaying partner is
 2ik(1 - S(y)).  Everything is rational in the one-period matrix elements
 and the branch-resolved Z, so no square-root branch ever needs choosing,
-and real k needs nothing beyond the real-axis Z rule of `monodromy`.
+and real k needs nothing beyond the real-axis Z rule of the one-period data.
 
-The one-period data come from `monodromy` (Z and the band class of a real
-k, read off one propagation of the cell window) and from the half-line S
-formulas of `halfline` evaluated on the one-period matrix based at y; with
-U(x, y) that makes at most three propagations per value, at every k.
+One one-period matrix, based at y, gives Z and the band class of a real k
+(`transfer._period_monodromy`) and S_l(y) and S(y) (the half-line formulas
+of `halfline`); U(x, y) reuses it as its period matrix when x - y spans two
+periods or more.  That makes two propagations per value, at every k.
 
 The textbook assembly - exponentiate the line integral of S along [y, x]
 over a square-root endpoint factor - lives in the test suite as a
@@ -36,7 +36,8 @@ import numpy as np
 from .halfline import _s_values
 from .iterint import bracket, cell_Q
 from .potential import CellConstants, PeriodicPotential
-from .transfer import DEFAULT_RTOL, BandClass, branch_Z, evolve, monodromy
+from .transfer import (DEFAULT_RTOL, BandClass, EvolutionMatrix, _evolve, _period_monodromy,
+                       _upper_k, branch_Z, evolve)
 from .wop import _own_cell_constants, _s2, expansion_coeffs
 
 __all__ = [
@@ -111,23 +112,23 @@ class GreenSeries:
 # ---------------------------------------------------------------------------
 # exact Green function
 
-def _green_at(pot, x: float, y: float, kc: complex, Z: complex,
+def _green_at(pot, x: float, y: float, kc: complex, U: EvolutionMatrix, Z: complex,
               rtol: float) -> complex:
-    """Green function by propagating the right-decaying solution.
+    """Green function for x >= y by propagating the right-decaying solution,
+    given the one-period matrix U = U(y, y - L; kc) and Z.
 
     Its amplitude pair at y is (S_l(y), 1 - S_l(y)) and the Wronskian with
     the left-decaying partner is 2ik(1 - S(y)); the value is the solution
     at x over the Wronskian.  Rational in the matrix elements and Z, so
     the branch is carried entirely by Z.
     """
-    U = evolve(pot, y, y - pot.period, kc, rtol)
     _, sl_y, s_y = _s_values(U, Z, y, kc)
     denom = 2j * kc * (1.0 - s_y)
     if denom == 0:
         raise ArithmeticError(f"degenerate Wronskian at k = {kc} (band edge)")
     if x == y:
         return 1.0 / denom
-    U = evolve(pot, x, y, kc, rtol)
+    U = _evolve(pot, x, y, kc, rtol, period=U.matrix)
     chi = ((U.alpha_plus + U.beta_plus) * sl_y
            + (U.beta_minus + U.alpha_minus) * (1.0 - sl_y))
     return chi / denom
@@ -142,17 +143,16 @@ def green_exact(pot: PeriodicPotential, x: float, y: float, k: complex,
     band_class records whether k sits in a band, a gap, or within
     tolerance of an edge (where the limit degenerates).
     """
-    k = complex(k)
+    k = _upper_k(k)
     if k == 0:
         raise ValueError("k = 0 is singular; use the series route")
-    if k.imag < 0:
-        raise ValueError("defined for Im k >= 0")
     x = float(x)
     y = float(y)
     if x < y:
         x, y = y, x
-    mono = monodromy(pot, k, rtol=rtol)
-    gs = _green_at(pot, x, y, k, mono.Z, rtol)
+    U = evolve(pot, y, pot.period_start(y), k, rtol)
+    mono = _period_monodromy(U)
+    gs = _green_at(pot, x, y, k, U, mono.Z, rtol)
     gf = math.exp(-0.5 * (pot.V(x) - pot.V(y))) * gs
     return GreenValue(G_S=gs, G_F=gf, x=x, y=y, k=k, band_class=mono.band)
 
@@ -235,7 +235,7 @@ def green_series(pot: PeriodicPotential, x: float, y: float,
         pmp_x = bracket(pot, "+-+", x - L, x)
         pmp_y = bracket(pot, "+-+", y - L, y)
         g_1 = (envelope / (4.0 * cc.L0)
-               * (pmp_x + pmp_y + cc.L0 * math.exp(-cc.V0) * plus_xy ** 2
+               * (pmp_x + pmp_y + cc.L0 * math.exp(cc.V0) * q_1 ** 2
                   - math.exp(cc.V0) / cc.L0 * (cc.L0 ** 4 / 4.0 + q)))
     if order >= 2:
         if x > y:
@@ -246,7 +246,7 @@ def green_series(pot: PeriodicPotential, x: float, y: float,
             int_s2 = 0.0
         q_3 = -int_s2
         g_2 = (q_1 * g_1
-               - (math.exp(-3.0 * cc.V0) / 3.0 * plus_xy ** 3 + int_s2) * g_m1)
+               - (q_1 ** 3 / 3.0 + int_s2) * g_m1)
     if order >= 3:
         c2x, c4x = _endpoint_factor(pot, x)
         c2y, c4y = (c2x, c4x) if x == y else _endpoint_factor(pot, y)

@@ -2,9 +2,8 @@
 functions, all built from one-period evolution data.
 
 Each public function propagates the one-period matrix U(x, x - L; k) once
-and takes the monodromy (Y, the branch-resolved Z and the band class) once,
-which propagates the cell window once: two one-period propagations per
-call, at every k.
+and reads Y, the branch-resolved Z and the band class off that same
+matrix: one one-period propagation per call, at every k.
 The half-line reflection coefficients are Mobius images of that data;
 S_r, S_l and S = S_r + S_l follow in closed form, and the m-functions are
 affine images of S_r, S_l shifted by the local drift.  The R, S and m
@@ -16,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .transfer import (DEFAULT_RTOL, BandClass, SingularIntervalError, evolve,
-                       monodromy)
+from .transfer import (DEFAULT_RTOL, BandClass, SingularIntervalError, _period_monodromy,
+                       _upper_k, evolve)
 
 __all__ = [
     "HalflineState",
@@ -43,8 +42,9 @@ class HalflineState:
 
 
 def _period_data(pot, x, k, rtol):
-    """(U(x, x - L; k), monodromy at k): everything the formulas below need."""
-    return evolve(pot, x, x - pot.period, k, rtol), monodromy(pot, k, rtol=rtol)
+    """(U(x, x - L; k), its monodromy data): everything the formulas below need."""
+    U = evolve(pot, x, pot.period_start(x), _upper_k(k), rtol)
+    return U, _period_monodromy(U)
 
 
 def _reflection(U, mono, k):
@@ -113,8 +113,8 @@ def halfline_state(pot, x: float, k: complex,
     """All half-line quantities at (x, k) in one bundle.
 
     m-functions are set to None when x is a jump point.  The edge flag is
-    raised when a real k is classified as a band edge (`monodromy`'s band
-    class), where the boundary values degenerate.
+    raised when a real k is classified as a band edge (the band class read
+    off the one-period matrix), where the boundary values degenerate.
     """
     k = complex(k)
     U, mono = _period_data(pot, x, k, rtol)

@@ -123,6 +123,8 @@ class TableSegment:
     length: float
     kind = "table"
     _interp: object = field(default=None, compare=False, repr=False)
+    _slope: object = field(default=None, compare=False, repr=False)
+    _curvature: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         from scipy.interpolate import PchipInterpolator
@@ -132,15 +134,17 @@ class TableSegment:
         if xs.size < 2 or np.any(np.diff(xs) <= 0):
             raise PotentialError("table segment needs strictly increasing sample points")
         object.__setattr__(self, "_interp", PchipInterpolator(xs, vs))
+        object.__setattr__(self, "_slope", self._interp.derivative())
+        object.__setattr__(self, "_curvature", self._interp.derivative(2))
 
     def value(self, s):
         return self._interp(np.asarray(s))
 
     def slope(self, s):
-        return self._interp.derivative()(np.asarray(s))
+        return self._slope(np.asarray(s))
 
     def curvature(self, s):
-        return self._interp.derivative(2)(np.asarray(s))
+        return self._curvature(np.asarray(s))
 
     @property
     def knots(self):
@@ -294,9 +298,26 @@ class PeriodicPotential:
         out.sort(key=lambda t: t[0])
         return out
 
+    def period_start(self, x: float) -> float:
+        """Lower end a of the one-period window (a, x]: the rounded x - L,
+        moved by rounding where needed so that the window holds each segment
+        boundary once, at its translate p <= x < p + L."""
+        L = self.period
+        a = x - L
+        if not math.isfinite(a):
+            return a  # evolve rejects it
+        for p0 in (self.offset + self.starts).tolist():
+            j = math.floor((x - p0) / L)  # off by at most one
+            j += int(p0 + (j + 1) * L <= x) - int(p0 + j * L > x)
+            a = max(a, p0 + (j - 1) * L)  # same arithmetic as _translates
+            if p0 + j * L <= a:
+                a = math.nextafter(p0 + j * L, -math.inf)
+        return a
+
     def _translates(self, p0: float, a: float, b: float) -> list:
         """The points p0 + j*L with a < p <= b."""
         j = math.ceil((a - p0) / self.period)
+        j -= int(p0 + (j - 1) * self.period > a)  # the quotient's rounding may overshoot
         p = p0 + j * self.period
         while p <= a:  # enforce strict a < p against rounding
             j += 1

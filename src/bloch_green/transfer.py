@@ -12,8 +12,8 @@ exact hyperbolic factor matrices.  A jump sitting exactly at a point p is
 counted by intervals with xprime < p <= x.  A matrix that overflows floating
 point raises OverflowError.
 
-`monodromy` reads Y, the branch of Z = sqrt(1 - Y^2) and the band class of
-a real k off one propagation of the cell window; `branch_Z` computes the
+A one-period matrix at any base point gives Y, the branch of
+Z = sqrt(1 - Y^2) and the band class of a real k; `branch_Z` computes the
 same branch from a half-trace function by the k + i*eps limit, as a
 reference that shares no propagation with it.
 """
@@ -161,6 +161,7 @@ _GL_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
 _STEP_SCALE = 2.0
 # steps multiplied per array pass; bounds the kernel's memory at large |k| * length
 _CHUNK = 4096
+_RATE_SAMPLES = np.linspace(0.0, 1.0, 9)  # where _step_edges samples a piece's drift
 
 
 def _magnus_product(seg, seg_start: float, edges: np.ndarray, k: complex) -> np.ndarray:
@@ -223,7 +224,7 @@ def _step_edges(seg, seg_start: float, a: float, b: float, k: complex,
     breaks = np.array([a] + [c for c in cuts if a < c < b] + [b])
     # rates of the drift system, sampled on each piece: |k|, |f| and
     # sqrt|f'|; the last sets the step where f varies fast but stays small
-    s = (breaks[:-1, None] + np.diff(breaks)[:, None] * np.linspace(0.0, 1.0, 9)
+    s = (breaks[:-1, None] + np.diff(breaks)[:, None] * _RATE_SAMPLES
          - seg_start).ravel()
     f0 = 0.5 * float(np.max(np.abs(seg.slope(s))))
     f1 = 0.5 * float(np.max(np.abs(seg.curvature(s))))
@@ -352,6 +353,11 @@ def evolve(pot, x: float, xprime: float, k: complex,
            rtol: float = DEFAULT_RTOL) -> EvolutionMatrix:
     """Evolution matrix U(x, xprime; k) of the drift system; OverflowError
     when it does not fit in floating point (strong jumps, long spans)."""
+    return _evolve(pot, x, xprime, k, rtol)
+
+
+def _evolve(pot, x, xprime, k, rtol, period=None) -> EvolutionMatrix:
+    """`evolve`; its power path takes `period`, if given, as U(xprime + L, xprime)."""
     k = complex(k)
     x = float(x)
     xprime = float(xprime)
@@ -364,7 +370,7 @@ def evolve(pot, x: float, xprime: float, k: complex,
     if x == xprime:
         return EvolutionMatrix(1.0, 1.0, 0.0, 0.0, x, xprime, k)
     if x < xprime:
-        return evolve(pot, xprime, x, k, rtol).inverse()
+        return _evolve(pot, xprime, x, k, rtol).inverse()
     if k == 0:
         half = 0.5 * (pot.V(xprime) - pot.V(x))
         return EvolutionMatrix(alpha_plus=math.cosh(half), alpha_minus=math.cosh(half),
@@ -380,8 +386,9 @@ def evolve(pot, x: float, xprime: float, k: complex,
         if rem < 0.0:
             nper -= 1
             rem = span - nper * L
-        mono = _span_matrix(pot, xprime + L, xprime, k, rtol)
-        U = _matrix_power(mono, nper)
+        if period is None:
+            period = _span_matrix(pot, xprime + L, xprime, k, rtol)
+        U = _matrix_power(period, nper)
         if rem > 0.0:
             U = _span_matrix(pot, xprime + rem, xprime, k, rtol) @ U
     else:
@@ -473,23 +480,29 @@ def branch_Z(Y_of_k, k: complex) -> complex:
     return _real_Z(Y, band, z_lim.real)
 
 
-def monodromy(pot, k: complex, rtol: float = DEFAULT_RTOL) -> Monodromy:
-    """One-period eigenvalue data (Y is base-independent) and the band class
-    of a real k, from one propagation of the cell window [offset, offset + L].
-
-    Off the real axis Z is the branch with |lambda| > 1; in a gap it is
-    i*sign(Y)*sqrt(Y^2 - 1).  In a band and at an edge it is the limit from
-    above, -sign(Im alpha_plus)*sqrt(1 - Y^2): for real k the drift system
-    is pseudo-unitary, so dY/dk is the integral over base points of
-    Im alpha_plus, whose sign is fixed in a band, and |lambda| > 1 above
-    the axis needs sign(Z) = -sign(dY/dk).
-    """
+def _upper_k(k: complex) -> complex:
     k = complex(k)
     if not cmath.isfinite(k):
         raise ValueError(f"k must be finite, got {k}")
     if k.imag < 0:
         raise ValueError("defined for Im k >= 0 only")
-    U = evolve(pot, pot.offset + pot.period, pot.offset, k, rtol)
+    return k
+
+
+def _period_monodromy(U: EvolutionMatrix) -> Monodromy:
+    """Eigenvalue data and band class from a one-period matrix
+    U(x, x - L; k) at any base point x.
+
+    A shift of base point conjugates U, so Y = tr U / 2 is the same at every
+    x.  Off the real axis Z is the branch with |lambda| > 1; in a gap it is
+    i*sign(Y)*sqrt(Y^2 - 1).  In a band and at an edge it is the limit from
+    above, -sign(Im alpha_plus)*sqrt(1 - Y^2): for real k the drift system
+    is pseudo-unitary, so |alpha_plus|^2 = 1 + |beta_plus|^2 > Y^2 keeps
+    Im alpha_plus away from zero inside a band, its sign is the same at
+    every base point, and dY/dk is its integral over base points;
+    |lambda| > 1 above the axis needs sign(Z) = -sign(dY/dk).
+    """
+    k = U.k
     Y = 0.5 * (U.alpha_plus + U.alpha_minus)
     if k.imag > 0:
         band = None
@@ -500,6 +513,12 @@ def monodromy(pot, k: complex, rtol: float = DEFAULT_RTOL) -> Monodromy:
         Z = _real_Z(Y.real, band, -U.alpha_plus.imag)
     lam = Y - 1j * Z
     return Monodromy(Y=Y, Z=Z, lam=lam, gamma=1.0 / (lam * lam), k=k, band=band)
+
+
+def monodromy(pot, k: complex, rtol: float = DEFAULT_RTOL) -> Monodromy:
+    """One-period eigenvalue data and the band class of a real k (branch rules
+    at `_period_monodromy`), from the cell window [offset, offset + L]."""
+    return _period_monodromy(evolve(pot, pot.offset + pot.period, pot.offset, _upper_k(k), rtol))
 
 
 def classify_band(pot, k: float, tol: float = EDGE_TOL,

@@ -311,7 +311,7 @@ def _taylor_coeffs_a(pot, x: float, N: int, rho: float | None = None,
     vals = np.empty(npts, dtype=complex)
     for j, z in enumerate(zeta):
         k = -1j * z
-        U = evolve(pot, x, x - pot.period, k)
+        U = evolve(pot, x, pot.period_start(x), k)
         Y = 0.5 * (U.alpha_plus + U.alpha_minus)
         s = np.sqrt((1.0 - Y) * (1.0 + Y) + 0j)
         if (s / (k * L0)).real < 0.0:

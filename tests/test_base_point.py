@@ -1,0 +1,114 @@
+"""One-period data at any base point.
+
+A shift of base point conjugates the one-period matrix U(x, x - L; k), so
+Y, Z and the band class read off it cannot depend on x, and S(x) and
+G(x + d, x) are periodic in x.  The base points include every segment
+boundary translate, where the rounded lower end x - L of the window can
+fall on either side of the translate one period down.
+"""
+
+import pickle
+
+import numpy as np
+import pytest
+
+from bloch_green.green import green_exact
+from bloch_green.halfline import s_functions
+from bloch_green.potential import (ConstSegment, CosineSegment, LinearSegment,
+                                   PeriodicPotential, TableSegment, load_potential)
+from bloch_green.transfer import BandClass, _period_monodromy, evolve, monodromy
+
+SQUARE = "period=1; const V=0 len=0.6; const V=1 len=0.4"
+OFFSET_V4 = "period=1; offset=0.3; const V=0 len=0.6; const V=4 len=0.4"
+LONG_CELL = "period=2.5; offset=0.1; const V=0 len=1.1; const V=2 len=1.4"
+POOL = [
+    SQUARE,
+    "period=2; cosine amp=0.3 len=2",
+    "period=1; linear V0=-0.4 V1=0.6 len=0.5; linear V0=0.6 V1=-0.4 len=0.5",
+    "period=1.5; const V=0.2 len=0.5; cosine amp=0.25 len=0.6; linear V0=0.1 V1=0.6 len=0.4",
+]
+
+
+def mixed_cell(seed=1):
+    """The jumpy const/cosine/linear/table cell of the field-mixed benchmark."""
+    rng = np.random.default_rng([seed, 7])
+    xs = np.linspace(0.0, 0.4, 4)
+    vs = 0.05 + 0.1 * np.sin(3.0 * xs) + rng.uniform(-0.01, 0.01, xs.size)
+    return PeriodicPotential(2.0, [
+        ConstSegment(0.4, 0.5),
+        CosineSegment(0.3, 0.7, 0.6),
+        LinearSegment(-0.2, 0.5, 0.5),
+        TableSegment(tuple(xs), tuple(vs), 0.4),
+    ])
+
+
+def cell(name):
+    return mixed_cell() if name == "mixed" else load_potential(name)
+
+
+def translates(pot, j):
+    """Each segment boundary's translate j periods from the cell."""
+    return [pot.offset + start + j * pot.period for start in pot.starts]
+
+
+@pytest.mark.parametrize("name", [SQUARE, OFFSET_V4, "mixed", LONG_CELL])
+@pytest.mark.parametrize("shift", [0.0, 1e-9, -1e-9])
+def test_values_periodic_across_boundary_translates(name, shift):
+    pot = cell(name)
+    for k in (1.3, 0.7 + 0.2j):
+        for i, p0 in enumerate(translates(pot, 0)):
+            y0 = p0 + shift
+            s_ref = s_functions(pot, y0, k)[2]
+            g_ref = green_exact(pot, y0 + 0.37, y0, k).G_S
+            for j in range(-8, 9):
+                y = translates(pot, j)[i] + shift
+                s = s_functions(pot, y, k)[2]
+                g = green_exact(pot, y + 0.37, y, k).G_S
+                assert abs(s - s_ref) <= 1e-6 * abs(s_ref), (y, k, s, s_ref)
+                assert abs(g - g_ref) <= 1e-6 * abs(g_ref), (y, k, g, g_ref)
+
+
+def band_ks(pot, n=3):
+    """Real k well inside bands, spread over the first few bands."""
+    ks = [k for k in np.linspace(0.05, 8.0, 160)
+          if abs(monodromy(pot, k).Y.real) < 0.9]
+    return [float(k) for k in ks[::max(1, len(ks) // n)]]
+
+
+@pytest.mark.parametrize("spec", POOL + [OFFSET_V4])
+def test_Z_and_band_class_at_any_base_point(spec):
+    pot = load_potential(spec)
+    L = pot.period
+    rng = np.random.default_rng(5)
+    jumps = [p for j in (-2, 0, 1, 3) for p in translates(pot, j)]
+    bases = jumps + list(pot.offset + rng.uniform(-3 * L, 4 * L, 50 - len(jumps)))
+    assert len(bases) == 50
+    for k in band_ks(pot):
+        ref = monodromy(pot, k)
+        assert ref.band is BandClass.BAND
+        for x in bases:
+            mono = _period_monodromy(evolve(pot, x, pot.period_start(x), k))
+            assert mono.band is BandClass.BAND, (x, k)
+            assert np.sign(mono.Z.real) == np.sign(ref.Z.real), (x, k)
+            assert abs(mono.Z - ref.Z) <= 1e-10, (x, k, mono.Z, ref.Z)
+
+
+def test_table_cell_pickles_with_its_interpolants():
+    pot = mixed_cell()
+    copy = pickle.loads(pickle.dumps(pot))
+    s = np.linspace(0.0, 0.4, 7)
+    for a, b in zip(pot.segments, copy.segments):
+        assert np.array_equal(a.slope(s), b.slope(s))
+        assert np.array_equal(a.curvature(s), b.curvature(s))
+    assert green_exact(copy, 5.3, 0.2, 1.0).G_S == green_exact(pot, 5.3, 0.2, 1.0).G_S
+
+
+@pytest.mark.parametrize("xs", [(-1.0, -2.2250738585e-313, 0.0), (3.6, 4.6 - 1.0, 4.6)])
+def test_evolve_keeps_literal_endpoints(xs):
+    # the one-period window is chosen by period_start; evolve itself counts
+    # the boundaries on (xprime, x] of the endpoints it is given, so that
+    # composition holds exactly also when xprime is a rounded x - L
+    pot = load_potential(SQUARE)
+    x1, x2, x3 = sorted(xs)
+    U21, U32, U31 = (evolve(pot, b, a, 1.0).matrix for b, a in ((x2, x1), (x3, x2), (x3, x1)))
+    assert np.abs(U32 @ U21 - U31).max() < 1e-12

@@ -230,6 +230,21 @@ def test_strong_cells_stay_finite(tmp_path):
             assert abs(g - g0) <= 1e-10 * abs(g0), (level, r[0])
 
 
+def test_expand_on_strong_cell_stays_finite(tmp_path):
+    # the raw bracket over [y, x] passes 1e102 on this cell; the series is
+    # written through q_1 = exp(-V0) * bracket, which stays of order one
+    pot = tmp_path / "strong300.pot"
+    pot.write_text("period=1; const V=0 len=0.5; const V=300 len=0.5\n")
+    out = tmp_path / "expand300.csv"
+    cfg = RunConfig(command="expand", potential_path=str(pot), k_count=8, y=0.1,
+                    out=str(out))
+    assert run(cfg) == EXIT_OK
+    rows = read_rows(out)[1]
+    assert len(rows) == 8
+    for r in rows:
+        assert all(math.isfinite(float(v)) for v in r), r
+
+
 @pytest.mark.parametrize("command", ["bands", "green"])
 def test_numeric_failure_is_one_stderr_line(tmp_path, command):
     pot = tmp_path / "jump.pot"

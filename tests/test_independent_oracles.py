@@ -66,18 +66,17 @@ def test_green_series_against_contour_taylor(pot_cosine):
     x, y = 0.7, 0.2
     gs = green_series(pot_cosine, x, y)
     cc = cell_constants(pot_cosine)
-    x0 = pot_cosine.offset + pot_cosine.period
 
     def g_disk(k):
         # single-valued continuation in the small-k disk: Z picked by
         # continuity with k L0 (the contour dips below the real axis,
         # where the boundary-limit branch would switch sheets)
-        U = evolve(pot_cosine, x0, x0 - pot_cosine.period, k)
+        U = evolve(pot_cosine, y, y - pot_cosine.period, k)
         Y = 0.5 * (U.alpha_plus + U.alpha_minus)
         s = np.sqrt((1.0 - Y) * (1.0 + Y) + 0j)
         if (s / (k * cc.L0)).real < 0.0:
             s = -s
-        return _green_at(pot_cosine, x, y, k, s, 1e-12)
+        return _green_at(pot_cosine, x, y, k, U, s, 1e-12)
 
     rho = 0.25
     npts = 32
