@@ -35,6 +35,16 @@ CASES = [
 ] + [(name, k, n) for name in ("s_functions", "m_functions", "halfline_state")
      for k, n in ((1.0, 1), (3.0, 1), (0.8 + 0.3j, 1))]
 
+# ceiling per call: the count when Y, Z and the band class came from a
+# propagation of their own (one more than above for green_exact and the
+# halfline calls); a call that repeats a span or propagates more fails here
+# as well as in test_propagation_count
+BUDGETS = [
+    ("monodromy", 1.0, 1), ("monodromy", 3.0, 1), ("monodromy", 0.8 + 0.3j, 1),
+    ("green_exact", 1.0, 3), ("green_exact", 3.0, 3), ("green_exact", 0.8 + 0.3j, 3),
+] + [(name, k, n) for name in ("s_functions", "m_functions", "halfline_state")
+     for k, n in ((1.0, 2), (3.0, 2), (0.8 + 0.3j, 2))]
+
 
 @pytest.fixture
 def span_keys(monkeypatch):
@@ -49,8 +59,15 @@ def span_keys(monkeypatch):
     return keys
 
 
+@pytest.mark.parametrize("name,k,budget", BUDGETS)
+def test_no_repeated_propagation(pot_square, span_keys, name, k, budget):
+    CALLS[name](pot_square, k)
+    assert len(set(span_keys)) == len(span_keys), span_keys
+    assert len(span_keys) <= budget
+
+
 @pytest.mark.parametrize("name,k,calls", CASES)
-def test_no_repeated_propagation(pot_square, span_keys, name, k, calls):
+def test_propagation_count(pot_square, span_keys, name, k, calls):
     CALLS[name](pot_square, k)
     assert len(set(span_keys)) == len(span_keys), span_keys
     assert len(span_keys) == calls
