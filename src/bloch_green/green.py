@@ -36,7 +36,7 @@ import numpy as np
 from .halfline import _s_values
 from .iterint import bracket, cell_Q
 from .potential import CellConstants, PeriodicPotential
-from .transfer import (DEFAULT_RTOL, BandClass, EvolutionMatrix, _evolve, _period_monodromy,
+from .transfer import (BandClass, EvolutionMatrix, _evolve, _period_monodromy,
                        _upper_k, branch_Z, evolve)
 from .wop import _own_cell_constants, _s2, expansion_coeffs
 
@@ -112,8 +112,8 @@ class GreenSeries:
 # ---------------------------------------------------------------------------
 # exact Green function
 
-def _green_at(pot, x: float, y: float, kc: complex, U: EvolutionMatrix, Z: complex,
-              rtol: float) -> complex:
+def _green_at(pot, x: float, y: float, kc: complex, U: EvolutionMatrix,
+              Z: complex) -> complex:
     """Green function for x >= y by propagating the right-decaying solution,
     given the one-period matrix U = U(y, y - L; kc) and Z.
 
@@ -128,14 +128,13 @@ def _green_at(pot, x: float, y: float, kc: complex, U: EvolutionMatrix, Z: compl
         raise ArithmeticError(f"degenerate Wronskian at k = {kc} (band edge)")
     if x == y:
         return 1.0 / denom
-    U = _evolve(pot, x, y, kc, rtol, period=U.matrix)
+    U = _evolve(pot, x, y, kc, period=U.matrix)
     chi = ((U.alpha_plus + U.beta_plus) * sl_y
            + (U.beta_minus + U.alpha_minus) * (1.0 - sl_y))
     return chi / denom
 
 
-def green_exact(pot: PeriodicPotential, x: float, y: float, k: complex,
-                rtol: float = DEFAULT_RTOL) -> GreenValue:
+def green_exact(pot: PeriodicPotential, x: float, y: float, k: complex) -> GreenValue:
     """Green functions of the periodic operator at (x, y; k).
 
     Both orderings of (x, y) are accepted; k = 0 is excluded.  Real k is
@@ -150,9 +149,9 @@ def green_exact(pot: PeriodicPotential, x: float, y: float, k: complex,
     y = float(y)
     if x < y:
         x, y = y, x
-    U = evolve(pot, y, pot.period_start(y), k, rtol)
+    U = evolve(pot, y, pot.period_start(y), k)
     mono = _period_monodromy(U)
-    gs = _green_at(pot, x, y, k, U, mono.Z, rtol)
+    gs = _green_at(pot, x, y, k, U, mono.Z)
     gf = math.exp(-0.5 * (pot.V(x) - pot.V(y))) * gs
     return GreenValue(G_S=gs, G_F=gf, x=x, y=y, k=k, band_class=mono.band)
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .transfer import (DEFAULT_RTOL, BandClass, SingularIntervalError, _period_monodromy,
-                       _upper_k, evolve)
+from .transfer import BandClass, SingularIntervalError, _period_monodromy, _upper_k, evolve
 
 __all__ = [
     "HalflineState",
@@ -41,9 +40,9 @@ class HalflineState:
     edge: bool = False
 
 
-def _period_data(pot, x, k, rtol):
+def _period_data(pot, x, k):
     """(U(x, x - L; k), its monodromy data): everything the formulas below need."""
-    U = evolve(pot, x, pot.period_start(x), _upper_k(k), rtol)
+    U = evolve(pot, x, pot.period_start(x), _upper_k(k))
     return U, _period_monodromy(U)
 
 
@@ -77,25 +76,25 @@ def _m_values(Sr, Sl, k, f):
     return ik - 2.0 * ik * Sl + f, ik - 2.0 * ik * Sr - f
 
 
-def reflect_halfline(pot, x: float, k: complex, rtol: float = DEFAULT_RTOL):
+def reflect_halfline(pot, x: float, k: complex):
     """Reflection coefficients of the half-lines left and right of x.
 
     Well defined for Im k > 0; real k values are boundary limits from the
     upper half plane, inherited through the Z branch rule.
     """
     k = complex(k)
-    U, mono = _period_data(pot, x, k, rtol)
+    U, mono = _period_data(pot, x, k)
     return _reflection(U, mono, k)
 
 
-def s_functions(pot, x: float, k: complex, rtol: float = DEFAULT_RTOL):
+def s_functions(pot, x: float, k: complex):
     """(S_r, S_l, S) at position x from the one-period closed forms."""
     k = complex(k)
-    U, mono = _period_data(pot, x, k, rtol)
+    U, mono = _period_data(pot, x, k)
     return _s_values(U, mono.Z, x, k)
 
 
-def m_functions(pot, x: float, k: complex, rtol: float = DEFAULT_RTOL):
+def m_functions(pot, x: float, k: complex):
     """Weyl-Titchmarsh functions (m_plus, m_minus) of the half-lines at x."""
     pe = pot.eval(x)
     if pe.has_jump:
@@ -103,13 +102,12 @@ def m_functions(pot, x: float, k: complex, rtol: float = DEFAULT_RTOL):
             f"x = {x} is a jump point of the potential; the drift (and hence "
             "the m-functions) is undefined there")
     k = complex(k)
-    U, mono = _period_data(pot, x, k, rtol)
+    U, mono = _period_data(pot, x, k)
     Sr, Sl, _ = _s_values(U, mono.Z, x, k)
     return _m_values(Sr, Sl, k, pe.f)
 
 
-def halfline_state(pot, x: float, k: complex,
-                   rtol: float = DEFAULT_RTOL) -> HalflineState:
+def halfline_state(pot, x: float, k: complex) -> HalflineState:
     """All half-line quantities at (x, k) in one bundle.
 
     m-functions are set to None when x is a jump point.  The edge flag is
@@ -117,7 +115,7 @@ def halfline_state(pot, x: float, k: complex,
     off the one-period matrix), where the boundary values degenerate.
     """
     k = complex(k)
-    U, mono = _period_data(pot, x, k, rtol)
+    U, mono = _period_data(pot, x, k)
     Rr, Rl = _reflection(U, mono, k)
     Sr, Sl, S = _s_values(U, mono.Z, x, k)
     pe = pot.eval(x)

@@ -1,7 +1,8 @@
 """Periodic potential representation and cell constants.
 
 A potential is an ordered list of segments covering one period; evaluation
-reduces the coordinate to the fundamental cell.  Jump discontinuities are
+finds the segment owning a point from the boundary translates p0 + j*L,
+the same points the propagators cross.  Jump discontinuities are
 first-class: they are stored as segment-boundary events and never smoothed
 into ramps.  The drift is f = -V'/2.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._spectral import PanelMesh, cheb_definite_integral_weights, vals_to_coeffs
+from ._spectral import PanelMesh
 
 __all__ = [
     "PotentialError",
@@ -186,6 +187,7 @@ class PeriodicPotential:
         self.offset = float(offset)
         self.segments = segments
         self.starts = np.concatenate(([0.0], np.cumsum([s.length for s in segments])))[:-1]
+        self._origins = (self.offset + self.starts).tolist()  # boundary positions p0
         self._jumps = self._boundary_jumps()
         self._memo = {}
         self._memo_lock = threading.Lock()
@@ -231,35 +233,46 @@ class PeriodicPotential:
         return self._cached("fingerprint", lambda: hashlib.sha1(
             repr((self.period, self.offset, self.segments)).encode()).hexdigest())
 
-    # -- coordinate reduction ------------------------------------------------
+    # -- locating points ------------------------------------------------------
 
-    def _reduce(self, x: float) -> float:
-        xi = math.fmod(x - self.offset, self.period)
-        if xi < 0.0:
-            xi += self.period
-        return xi
+    def _last_translate(self, p0: float, x: float) -> int:
+        """The j of the last translate p0 + j*L <= x."""
+        L = self.period
+        j = math.floor((x - p0) / L)  # off by at most one
+        return j + int(p0 + (j + 1) * L <= x) - int(p0 + j * L > x)
 
-    def _locate(self, xi: float) -> int:
-        idx = int(np.searchsorted(self.starts, xi, side="right")) - 1
-        return min(max(idx, 0), len(self.segments) - 1)
+    def _locate(self, x: float):
+        """(index, start) of the segment owning x: the boundary whose last
+        translate p = p0 + j*L <= x is the latest, with p in the arithmetic of
+        `_translates`, so a point on a boundary translate sits at the start
+        of the segment beginning there."""
+        if not math.isfinite(x):
+            raise ValueError(f"x must be finite, got {x!r}")
+        best_i, best_p = 0, -math.inf
+        for i, p0 in enumerate(self._origins):
+            p = p0 + self._last_translate(p0, x) * self.period
+            if p > best_p:
+                best_i, best_p = i, p
+        return best_i, best_p
 
     # -- evaluation ----------------------------------------------------------
 
     def _per_segment(self, x, fn):
-        """fn(segment, local coordinates) evaluated at x, reduced to the cell
-        and dispatched to the owning segment; scalar in, scalar out."""
+        """fn(segment, local coordinates) evaluated at x, dispatched to the
+        owning segment; scalar in, scalar out."""
+        if np.ndim(x) == 0:
+            i, start = self._locate(float(x))
+            return float(fn(self.segments[i], float(x) - start))
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xi = np.fmod(x - self.offset, self.period)
-        xi = np.where(xi < 0.0, xi + self.period, xi)
-        idx = np.clip(np.searchsorted(self.starts, np.atleast_1d(xi), side="right") - 1,
-                      0, len(self.segments) - 1)
-        out = np.empty(idx.shape, dtype=float)
-        flat_xi = np.atleast_1d(xi)
+        flat = x.ravel()
+        located = [self._locate(t) for t in flat.tolist()]
+        idx = np.array([i for i, _ in located], dtype=int)
+        starts = np.array([p for _, p in located])
+        out = np.empty(flat.shape, dtype=float)
         for i in np.unique(idx):
             sel = idx == i
-            out[sel] = fn(self.segments[i], flat_xi[sel] - self.starts[i])
-        return float(out[0]) if scalar else out.reshape(np.shape(x))
+            out[sel] = fn(self.segments[i], flat[sel] - starts[sel])
+        return out.reshape(x.shape)
 
     def V(self, x):
         return self._per_segment(x, lambda seg, s: seg.value(s))
@@ -278,12 +291,13 @@ class PeriodicPotential:
         return self._per_segment(x, fn)
 
     def eval(self, x: float) -> PointEval:
-        xi = self._reduce(x)
-        i = self._locate(xi)
-        s = xi - self.starts[i]
-        v = float(self.segments[i].value(s))
-        fv = -0.5 * float(self.segments[i].slope(s))
-        if xi == self.starts[i] and self._jumps[i] != 0.0:
+        x = float(x)
+        i, start = self._locate(x)
+        seg = self.segments[i]
+        s = x - start
+        v = float(seg.value(s))
+        fv = -0.5 * float(seg.slope(s))
+        if x == start and self._jumps[i] != 0.0:
             return PointEval(V=v, f=fv, has_jump=True, jump=float(self._jumps[i]))
         return PointEval(V=v, f=fv)
 
@@ -293,8 +307,8 @@ class PeriodicPotential:
         """Segment boundaries p with a < p <= b, as sorted (position, jump) pairs."""
         if b < a:
             raise ValueError("need a <= b")
-        out = [(p, float(delta)) for start, delta in zip(self.starts, self._jumps)
-               for p in self._translates(self.offset + start, a, b)]
+        out = [(p, float(delta)) for p0, delta in zip(self._origins, self._jumps)
+               for p in self._translates(p0, a, b)]
         out.sort(key=lambda t: t[0])
         return out
 
@@ -306,9 +320,8 @@ class PeriodicPotential:
         a = x - L
         if not math.isfinite(a):
             return a  # evolve rejects it
-        for p0 in (self.offset + self.starts).tolist():
-            j = math.floor((x - p0) / L)  # off by at most one
-            j += int(p0 + (j + 1) * L <= x) - int(p0 + j * L > x)
+        for p0 in self._origins:
+            j = self._last_translate(p0, x)
             a = max(a, p0 + (j - 1) * L)  # same arithmetic as _translates
             if p0 + j * L <= a:
                 a = math.nextafter(p0 + j * L, -math.inf)
@@ -334,9 +347,9 @@ class PeriodicPotential:
         boundaries, and interior smoothness knots of table segments."""
         pts = [a, b]
         pts.extend(p for p, _ in self.boundaries_in(a, b) if a < p < b)
-        for start, seg in zip(self.starts, self.segments):
+        for p0, seg in zip(self._origins, self.segments):
             for knot in seg.knots:
-                pts.extend(p for p in self._translates(self.offset + start + knot, a, b)
+                pts.extend(p for p in self._translates(p0 + knot, a, b)
                            if p < b)
         pts = np.array(sorted(set(pts)))
         keep = np.concatenate(([True], np.diff(pts) > 1e-13 * max(1.0, self.period)))
@@ -353,9 +366,9 @@ class PeriodicPotential:
         return PanelMesh(breaks, order)
 
     def segment_at(self, x: float):
-        xi = self._reduce(x)
-        i = self._locate(xi)
-        return self.segments[i], self.offset + self.starts[i] + (x - self.offset - xi)
+        """(segment, absolute start) of the segment owning x."""
+        i, start = self._locate(float(x))
+        return self.segments[i], start
 
     def V_on_mesh(self, mesh, derivative: int = 0) -> np.ndarray:
         """V (or its derivative) at mesh nodes, one-sided per panel.
@@ -523,34 +536,15 @@ class CellConstants:
     V0: float
 
 
-def _cell_integral(pot: PeriodicPotential, weight_sign: int, x_top: float, tol: float) -> float:
-    """integral of e^{sign*V} over [x_top - L, x_top] with order refinement."""
-    a = x_top - pot.period
-    prev = None
-    for order in (16, 24, 36, 54):
-        mesh = pot.mesh(a, x_top, order, max_panel=pot.period / 2)
-        coeffs = vals_to_coeffs(np.exp(weight_sign * pot.V_on_mesh(mesh)), axis=1)
-        val = float(np.sum(coeffs @ cheb_definite_integral_weights(order) * mesh.half))
-        if prev is not None and abs(val - prev) <= tol:
-            return val
-        prev = val
-    raise QuadratureError(
-        f"cell integral did not converge to {tol:g} (last delta {abs(val - prev):g})")
-
-
-def cell_constants(pot: PeriodicPotential, tol: float = 1e-12,
-                   x_top: float | None = None) -> CellConstants:
-    """Cell constants to absolute quadrature tolerance tol, memoised on the
-    potential; window start is immaterial and may be overridden for
-    invariance checks."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if x_top is None:
-        x_top = pot.offset + pot.period
+def cell_constants(pot: PeriodicPotential) -> CellConstants:
+    """Cell constants from the one-letter brackets [-] and [+] over the cell
+    window [offset, offset + L], memoised on the potential."""
+    from .iterint import bracket  # iterint imports this module
 
     def compute():
-        M = _cell_integral(pot, -1, x_top, tol)
-        P = _cell_integral(pot, +1, x_top, tol)
+        a = pot.offset
+        M = bracket(pot, "-", a, a + pot.period)
+        P = bracket(pot, "+", a, a + pot.period)
         return CellConstants(M=M, P=P, L0=math.sqrt(P * M), V0=0.5 * math.log(P / M))
 
-    return pot._cached(("cell_constants", float(tol), float(x_top)), compute)
+    return pot._cached("cell_constants", compute)

@@ -5,12 +5,14 @@ The 2x2 evolution matrix propagates the pair of wave amplitudes across an
 interval.  Smooth stretches with constant drift (const and linear segments)
 have closed-form propagators.  Cosine and table stretches are propagated by
 a fixed-step 6th-order Magnus integrator sampled at 3 Gauss-Legendre nodes
-per step, split at table knots, with the step length set by rtol, |k| and
-the drift; each step is the closed-form exponential of a traceless 2x2
-matrix, so step products are unimodular.  Potential jumps are applied as
-exact hyperbolic factor matrices.  A jump sitting exactly at a point p is
-counted by intervals with xprime < p <= x.  A matrix that overflows floating
-point raises OverflowError.
+per step, split at table knots, with the step length set by |k| and the
+drift for a relative accuracy of MAGNUS_RTOL; each step is the closed-form
+exponential of a traceless 2x2 matrix, so step products are unimodular.
+Spans of two periods or more take the one-period matrix to a power by
+repeated squaring.  Potential jumps are applied as exact hyperbolic factor
+matrices.  A jump sitting exactly at a point p is counted by intervals with
+xprime < p <= x.  A matrix that overflows floating point raises
+OverflowError.
 
 A one-period matrix at any base point gives Y, the branch of
 Z = sqrt(1 - Y^2) and the band class of a real k; `branch_Z` computes the
@@ -46,7 +48,7 @@ __all__ = [
     "branch_Z",
 ]
 
-DEFAULT_RTOL = 1e-12
+MAGNUS_RTOL = 1e-12  # relative accuracy the Magnus step length is chosen for
 DEFAULT_ATOL = 1e-14
 EDGE_TOL = 1e-10  # a real k with |Y^2 - 1| <= EDGE_TOL is a band edge
 
@@ -157,7 +159,7 @@ def _const_drift_matrix(f: float, d: float, k: complex) -> np.ndarray:
 
 # 3-point Gauss-Legendre nodes on [0, 1]: the samples of the 6th-order Magnus step
 _GL_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
-# step length h = _STEP_SCALE * rtol**(1/6) / rate; per-step error ~ (h*rate)**7
+# step length h = _STEP_SCALE * MAGNUS_RTOL**(1/6) / rate; per-step error ~ (h*rate)**7
 _STEP_SCALE = 2.0
 # steps multiplied per array pass; bounds the kernel's memory at large |k| * length
 _CHUNK = 4096
@@ -216,10 +218,9 @@ def _magnus_product(seg, seg_start: float, edges: np.ndarray, k: complex) -> np.
     return steps[:, 0].reshape(2, 2)
 
 
-def _step_edges(seg, seg_start: float, a: float, b: float, k: complex,
-                rtol: float) -> np.ndarray:
+def _step_edges(seg, seg_start: float, a: float, b: float, k: complex) -> np.ndarray:
     """Magnus step edges on [a, b]: pieces split at the segment's smoothness
-    knots, each cut into equal steps no longer than the rtol-derived h."""
+    knots, each cut into equal steps no longer than h."""
     cuts = [seg_start + t for t in seg.knots]
     breaks = np.array([a] + [c for c in cuts if a < c < b] + [b])
     # rates of the drift system, sampled on each piece: |k|, |f| and
@@ -229,16 +230,15 @@ def _step_edges(seg, seg_start: float, a: float, b: float, k: complex,
     f0 = 0.5 * float(np.max(np.abs(seg.slope(s))))
     f1 = 0.5 * float(np.max(np.abs(seg.curvature(s))))
     rate = max(1.0, abs(k), f0, math.sqrt(f1))
-    h = _STEP_SCALE * rtol ** (1.0 / 6.0) / rate
+    h = _STEP_SCALE * MAGNUS_RTOL ** (1.0 / 6.0) / rate
     parts = [np.linspace(lo, hi, max(1, math.ceil((hi - lo) / h)) + 1)[:-1]
              for lo, hi in zip(breaks[:-1], breaks[1:])]
     return np.concatenate(parts + [[b]])
 
 
-def _magnus_piece(seg, seg_start: float, a: float, b: float, k: complex,
-                  rtol: float) -> np.ndarray:
+def _magnus_piece(seg, seg_start: float, a: float, b: float, k: complex) -> np.ndarray:
     """U(b, a; k) inside one cosine or table segment."""
-    edges = _step_edges(seg, seg_start, a, b, k, rtol)
+    edges = _step_edges(seg, seg_start, a, b, k)
     U = np.eye(2, dtype=complex)
     for lo in range(0, edges.size - 1, _CHUNK):
         U = _magnus_product(seg, seg_start, edges[lo:lo + _CHUNK + 1], k) @ U
@@ -274,7 +274,7 @@ def _ode_piece(pot, a: float, b: float, k: complex, U0: np.ndarray, rtol: float,
     return sol.y.reshape(2, 2, -1)
 
 
-def _piece_matrix(pot, a: float, b: float, k: complex, U0: np.ndarray, rtol: float):
+def _piece_matrix(pot, a: float, b: float, k: complex, U0: np.ndarray):
     """U(b, a) @ U0 across one smooth stretch (no interior boundaries)."""
     if b == a:
         return U0
@@ -284,79 +284,53 @@ def _piece_matrix(pot, a: float, b: float, k: complex, U0: np.ndarray, rtol: flo
     if seg.kind == "linear":
         f = -0.5 * float(seg.slope(0.0))
         return _const_drift_matrix(f, b - a, k) @ U0
-    return _magnus_piece(seg, seg_start, a, b, k, rtol) @ U0
+    return _magnus_piece(seg, seg_start, a, b, k) @ U0
 
 
-def _span_matrix(pot, b: float, a: float, k: complex, rtol: float) -> np.ndarray:
+def _span_matrix(pot, b: float, a: float, k: complex) -> np.ndarray:
     """U(b, a; k) for b >= a by marching across boundaries; jumps on (a, b]."""
     U = np.eye(2, dtype=complex)
     cur = a
     for pos, delta in pot.boundaries_in(a, b):
-        U = _piece_matrix(pot, cur, min(pos, b), k, U, rtol)
+        U = _piece_matrix(pot, cur, min(pos, b), k, U)
         if delta != 0.0:
             U = _jump_matrix(delta) @ U
         cur = pos
     if cur < b:
-        U = _piece_matrix(pot, cur, b, k, U, rtol)
+        U = _piece_matrix(pot, cur, b, k, U)
     return U
 
 
 def _matrix_power(U: np.ndarray, n: int) -> np.ndarray:
-    """U^n for a unimodular 2x2 matrix, by eigenvalues when safely hyperbolic."""
-    if n == 0:
-        return np.eye(2, dtype=complex)
-    if n == 1:
-        return U.copy()
-    Y = 0.5 * (U[0, 0] + U[1, 1])
-    disc = 1.0 - Y * Y
-    if abs(disc) > 1e-8:
-        s = cmath.sqrt(disc)
-        lam = Y - 1j * s
-        lam_n = lam ** n
-        inv_n = lam ** (-n)
-        denom = lam - 1.0 / lam
-        alpha = U[0, 0]
-        return np.array([
-            [(inv_n * (lam - alpha) - lam_n * (1.0 / lam - alpha)) / denom,
-             U[0, 1] * (lam_n - inv_n) / denom],
-            [U[1, 0] * (lam_n - inv_n) / denom,
-             (lam_n * (lam - alpha) - inv_n * (1.0 / lam - alpha)) / denom],
-        ])
-    # near-degenerate multipliers: repeated squaring avoids the 1/(lam - 1/lam) blowup
+    """U^n by repeated squaring."""
     result = np.eye(2, dtype=complex)
-    base = U.copy()
-    m = n
-    while m:
-        if m & 1:
+    base = U
+    while n:
+        if n & 1:
             result = base @ result
-        base = base @ base
-        m >>= 1
+        n >>= 1
+        if n:  # a last squaring would go unused, and may overflow
+            base = base @ base
     return result
 
 
-def _near_jump(pot, t: float, rel: float = 1e-9) -> bool:
-    """Whether t sits within rounding reach of a segment-boundary translate."""
-    L = pot.period
-    xi = pot._reduce(t)
-    tol = rel * L
-    for start in pot.starts:
-        d = abs(xi - start)
-        if min(d, L - d) < tol:
-            return True
-    return False
+def _near_jump(pot, t: float) -> bool:
+    """Whether a segment-boundary translate lies within 1e-9 L of t."""
+    reach = 1e-9 * pot.period
+    _, start = pot._locate(t)
+    return t - start < reach or pot._locate(t + reach)[1] != start
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
-def evolve(pot, x: float, xprime: float, k: complex,
-           rtol: float = DEFAULT_RTOL) -> EvolutionMatrix:
+def evolve(pot, x: float, xprime: float, k: complex) -> EvolutionMatrix:
     """Evolution matrix U(x, xprime; k) of the drift system; OverflowError
     when it does not fit in floating point (strong jumps, long spans)."""
-    return _evolve(pot, x, xprime, k, rtol)
+    return _evolve(pot, x, xprime, k)
 
 
-def _evolve(pot, x, xprime, k, rtol, period=None) -> EvolutionMatrix:
+def _evolve(pot, x, xprime, k, period=None) -> EvolutionMatrix:
     """`evolve`; its power path takes `period`, if given, as U(xprime + L, xprime)."""
     k = complex(k)
     x = float(x)
@@ -365,12 +339,10 @@ def _evolve(pot, x, xprime, k, rtol, period=None) -> EvolutionMatrix:
         raise ValueError("endpoints must be finite")
     if not cmath.isfinite(k):
         raise ValueError(f"k must be finite, got {k}")
-    if not rtol > 0:
-        raise ValueError("rtol must be positive")
     if x == xprime:
         return EvolutionMatrix(1.0, 1.0, 0.0, 0.0, x, xprime, k)
     if x < xprime:
-        return _evolve(pot, xprime, x, k, rtol).inverse()
+        return _evolve(pot, xprime, x, k).inverse()
     if k == 0:
         half = 0.5 * (pot.V(xprime) - pot.V(x))
         return EvolutionMatrix(alpha_plus=math.cosh(half), alpha_minus=math.cosh(half),
@@ -387,12 +359,12 @@ def _evolve(pot, x, xprime, k, rtol, period=None) -> EvolutionMatrix:
             nper -= 1
             rem = span - nper * L
         if period is None:
-            period = _span_matrix(pot, xprime + L, xprime, k, rtol)
+            period = _span_matrix(pot, xprime + L, xprime, k)
         U = _matrix_power(period, nper)
         if rem > 0.0:
-            U = _span_matrix(pot, xprime + rem, xprime, k, rtol) @ U
+            U = _span_matrix(pot, xprime + rem, xprime, k) @ U
     else:
-        U = _span_matrix(pot, x, xprime, k, rtol)
+        U = _span_matrix(pot, x, xprime, k)
     if not np.all(np.isfinite(U)):
         raise OverflowError(f"U({x}, {xprime}; k = {k}) overflowed to a non-finite value")
     return EvolutionMatrix.from_matrix(U, x, xprime, k)
@@ -435,12 +407,12 @@ def _uhp_Z(Y: complex) -> complex:
     return -s
 
 
-def _classify(Y: float, tol: float = EDGE_TOL) -> BandClass:
+def _classify(Y: float) -> BandClass:
     """Band/gap/edge class of a real k from its real half-trace Y."""
     y2 = Y * Y
-    if y2 < 1.0 - tol:
+    if y2 < 1.0 - EDGE_TOL:
         return BandClass.BAND
-    if y2 > 1.0 + tol:
+    if y2 > 1.0 + EDGE_TOL:
         return BandClass.GAP
     return BandClass.EDGE
 
@@ -515,16 +487,15 @@ def _period_monodromy(U: EvolutionMatrix) -> Monodromy:
     return Monodromy(Y=Y, Z=Z, lam=lam, gamma=1.0 / (lam * lam), k=k, band=band)
 
 
-def monodromy(pot, k: complex, rtol: float = DEFAULT_RTOL) -> Monodromy:
+def monodromy(pot, k: complex) -> Monodromy:
     """One-period eigenvalue data and the band class of a real k (branch rules
     at `_period_monodromy`), from the cell window [offset, offset + L]."""
-    return _period_monodromy(evolve(pot, pot.offset + pot.period, pot.offset, _upper_k(k), rtol))
+    return _period_monodromy(evolve(pot, pot.offset + pot.period, pot.offset, _upper_k(k)))
 
 
-def classify_band(pot, k: float, tol: float = EDGE_TOL,
-                  rtol: float = DEFAULT_RTOL) -> BandClass:
+def classify_band(pot, k: float) -> BandClass:
     """Band/gap/edge classification of a real wavenumber from Y^2 vs 1."""
-    return _classify(monodromy(pot, float(k), rtol=rtol).Y.real, tol)
+    return monodromy(pot, float(k)).band
 
 
 def series_evolution(pot, x: float, xprime: float, k: complex,

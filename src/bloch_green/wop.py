@@ -239,13 +239,9 @@ def op_A_inv(pot, g: WGridFunction, mean_tol: float = 1e-6) -> WGridFunction:
 
 @dataclass
 class ExpansionSeries:
-    """Expansion data: rbar[n] are W-grid functions (or None for closed-form
-    only runs); a[n] and s[n] are per-x numbers once the W -> -infinity limit
-    has been taken."""
+    """Expansion data: rbar[n] are the W-grid functions r_0 .. r_order."""
     order: int
     rbar: list
-    a: np.ndarray | None = None
-    s: np.ndarray | None = None
 
 
 MAX_RBAR_ORDER = 4

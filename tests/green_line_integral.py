@@ -11,7 +11,7 @@ import cmath
 
 import numpy as np
 
-from bloch_green.transfer import DEFAULT_RTOL, _jump_matrix, _ode_piece
+from bloch_green.transfer import MAGNUS_RTOL, _jump_matrix, _ode_piece
 
 
 def _piece_scan(pot, a: float, b: float, k: complex, U0: np.ndarray,
@@ -43,7 +43,7 @@ def _piece_scan(pot, a: float, b: float, k: complex, U0: np.ndarray,
     return y[:-1], y[-1]
 
 
-def propagator_scan(pot, k: complex, zs, rtol: float = DEFAULT_RTOL):
+def propagator_scan(pot, k: complex, zs, rtol: float = MAGNUS_RTOL):
     """Propagators from the bottom of the cell to each requested point.
 
     zs must be sorted points inside (lo, x0] with lo = offset and

@@ -112,3 +112,28 @@ def test_evolve_keeps_literal_endpoints(xs):
     x1, x2, x3 = sorted(xs)
     U21, U32, U31 = (evolve(pot, b, a, 1.0).matrix for b, a in ((x2, x1), (x3, x2), (x3, x1)))
     assert np.abs(U32 @ U21 - U31).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", [SQUARE, OFFSET_V4])
+def test_boundary_translates_located_like_the_cell(name):
+    # a point on a boundary translate j periods out is located by the same
+    # p0 + j*L arithmetic that places the translate, so it sits at the start
+    # of the segment beginning there, as its j = 0 partner does
+    from bloch_green.wop import expansion_coeffs
+
+    pot = load_potential(name)
+    for i, p0 in enumerate(translates(pot, 0)):
+        seg0, start0 = pot.segment_at(p0)
+        pe0 = pot.eval(p0)
+        coeffs0 = expansion_coeffs(pot, p0, 4)
+        g0 = green_exact(pot, p0 + 0.37, p0, 1.3).G_F
+        assert start0 == p0 and pe0.has_jump
+        for j in range(-8, 9):
+            x = translates(pot, j)[i]
+            seg, start = pot.segment_at(x)
+            assert seg is seg0 and start == x, (x, start)
+            assert pot.V(x) == pot.V(p0) and pot.eval(x) == pe0, x
+            for got, want in zip(expansion_coeffs(pot, x, 4), coeffs0):
+                assert np.abs(got - want).max() <= 1e-9, (x, got, want)
+            g = green_exact(pot, x + 0.37, x, 1.3).G_F
+            assert abs(g - g0) <= 1e-12 * abs(g0), (x, g, g0)

@@ -76,7 +76,7 @@ def test_green_series_against_contour_taylor(pot_cosine):
         s = np.sqrt((1.0 - Y) * (1.0 + Y) + 0j)
         if (s / (k * cc.L0)).real < 0.0:
             s = -s
-        return _green_at(pot_cosine, x, y, k, U, s, 1e-12)
+        return _green_at(pot_cosine, x, y, k, U, s)
 
     rho = 0.25
     npts = 32

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bloch_green.iterint import bracket
 from bloch_green.potential import (CellConstants, ConstSegment, CosineSegment,
                                    LinearSegment, ParseError, PeriodicPotential,
                                    PotentialError, cell_constants, load_potential,
@@ -98,6 +99,16 @@ def test_construction_rejects_non_finite(build):
         build()
 
 
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+def test_evaluation_rejects_non_finite_point(pot_square, x):
+    # a NaN point used to evaluate to V = 1.0
+    for evaluate in (pot_square.V, pot_square.f, pot_square.eval, pot_square.segment_at):
+        with pytest.raises(ValueError, match="finite"):
+            evaluate(x)
+    with pytest.raises(ValueError, match="finite"):
+        pot_square.V(np.array([0.3, x]))
+
+
 @pytest.mark.parametrize("entry", ["nan", "inf"])
 def test_parse_rejects_non_finite_table_entry(tmp_path, entry):
     path = tmp_path / "profile.csv"
@@ -167,8 +178,7 @@ def test_cell_constants_on_table_segment(tmp_path):
     pot = load_potential(
         f"period=1; const V=0.1 len=0.7; table file={tmp_path / 'prof.csv'} len=0.3")
     cc = cell_constants(pot)
-    ref = cell_constants(pot, x_top=1.43)
-    assert cc.M == pytest.approx(ref.M, abs=1e-12)
+    assert bracket(pot, "-", 0.43, 1.43) == pytest.approx(cc.M, abs=1e-12)
     assert cc.L0 ** 2 == pytest.approx(cc.P * cc.M, rel=1e-13)
 
 
@@ -195,18 +205,24 @@ def test_cell_constants_identities(cc_square, cc_cosine):
 
 
 def test_cell_constants_window_invariance(pot_square, pot_cosine, rng):
+    # M and P are the [-] and [+] brackets over any one-period window
     for pot in (pot_square, pot_cosine):
         ref = cell_constants(pot)
         for _ in range(10):
             x_top = float(rng.uniform(-2, 2))
-            cc = cell_constants(pot, x_top=x_top)
-            assert cc.M == pytest.approx(ref.M, abs=1e-12)
-            assert cc.P == pytest.approx(ref.P, abs=1e-12)
+            a = x_top - pot.period
+            assert bracket(pot, "-", a, x_top) == pytest.approx(ref.M, abs=1e-12)
+            assert bracket(pot, "+", a, x_top) == pytest.approx(ref.P, abs=1e-12)
 
 
-def test_cell_constants_rejects_bad_tol(pot_square):
-    with pytest.raises(ValueError):
-        cell_constants(pot_square, tol=0.0)
+@pytest.mark.parametrize("height", [600.0, 700.0])
+def test_cell_constants_strong_cell(height):
+    # P is about 2e260 (5e303): the constants converge to a relative tolerance
+    pot = load_potential(f"period=1; const V=0 len=0.5; const V={height} len=0.5")
+    cc = cell_constants(pot)
+    for got, want in ((cc.M, 0.5 * (1.0 + math.exp(-height))),
+                      (cc.P, 0.5 * (1.0 + math.exp(height)))):
+        assert abs(got - want) <= 1e-14 * want, (got, want)
 
 
 def test_offset_representation_invariance(pot_square):
@@ -250,7 +266,7 @@ def test_random_step_potentials_well_formed(lens, levels):
                          for s, ln in zip(starts, lens)])
     for shift in (-period, period):
         assert np.all(pot.V(xs + shift) == pot.V(xs))
-    cc = cell_constants(pot, tol=1e-10)
+    cc = cell_constants(pot)
     assert cc.L0 ** 2 == pytest.approx(cc.P * cc.M, rel=1e-12)
     assert cc.M > 0 and cc.P > 0
 

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from bloch_green.iterint import bracket
 from bloch_green.transfer import (BandClass, SeriesDivergenceError,
-                                  SingularIntervalError, branch_Z, classify_band,
-                                  evolve, generalize, monodromy, scattering,
-                                  series_evolution)
+                                  SingularIntervalError, _span_matrix, branch_Z,
+                                  classify_band, evolve, generalize, monodromy,
+                                  scattering, series_evolution)
 
 A, B, C = 0.6, 0.4, 1.0
 A_HYP = -math.tanh(C / 2)  # hyperbolic amplitude of the square cell
@@ -82,6 +82,27 @@ def test_multi_period_power_path(pot_square):
     direct = evolve(pot_square, 5.4, 2.4, k).matrix @ evolve(pot_square, 2.4, 0.1, k).matrix
     powered = evolve(pot_square, 5.4, 0.1, k).matrix
     assert np.abs(powered - direct).max() < 1e-11
+    # n = 2..8 periods by repeated squaring against the direct march, at a
+    # band k, a gap k and a complex k on each pool cell
+    from test_acceptance import POT_POOL_SPECS
+
+    from bloch_green.potential import load_potential
+    for spec in POT_POOL_SPECS:
+        pot = load_potential(spec)
+        L = pot.period
+        ks = np.linspace(0.05, 8.0, 160)
+        Ys = [abs(monodromy(pot, k).Y.real) for k in ks]
+        band_k, gap_k = float(ks[np.argmin(Ys)]), float(ks[np.argmax(Ys)])
+        assert monodromy(pot, band_k).band is BandClass.BAND
+        assert monodromy(pot, gap_k).band is BandClass.GAP
+        xprime = pot.offset + 0.23 * L
+        for k in (band_k, gap_k, 0.8 + 0.3j):
+            for n in range(2, 9):
+                x = xprime + (n + 0.41) * L
+                powered = evolve(pot, x, xprime, k).matrix
+                direct = _span_matrix(pot, x, xprime, complex(k))
+                err = np.abs(powered - direct).max() / max(1.0, np.abs(direct).max())
+                assert err < 1e-11, (spec, k, n, err)
 
 
 def test_real_k_conjugation(pot_square, pot_cosine):
@@ -358,12 +379,6 @@ def test_non_finite_k_rejected(pot_square, pot_cosine, k):
             evolve(pot, 1.3, 0.2, k)
         with pytest.raises(ValueError, match="finite"):
             monodromy(pot, k)
-
-
-def test_rtol_must_be_positive(pot_cosine):
-    for rtol in (0.0, -1e-12, math.nan):
-        with pytest.raises(ValueError, match="rtol"):
-            evolve(pot_cosine, 1.3, 0.2, 1.0, rtol)
 
 
 def test_scattering_rejects_singular():
