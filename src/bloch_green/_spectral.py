@@ -117,17 +117,6 @@ class PanelMesh:
         # nodes[i, j]: physical node j of panel i
         self.nodes = self.mid[:, None] + self.half[:, None] * ref[None, :]
 
-    @property
-    def a(self) -> float:
-        return float(self.breaks[0])
-
-    def gauss_rule(self, order: int):
-        """(nodes, weights) of the Gauss-Legendre rule of the given order on
-        every panel, panels in order."""
-        t, w = np.polynomial.legendre.leggauss(order)
-        return ((self.mid[:, None] + self.half[:, None] * t).ravel(),
-                (self.half[:, None] * w).ravel())
-
     def panel_of(self, x: np.ndarray) -> np.ndarray:
         """Panel index per point; interior breakpoints belong to the right panel."""
         idx = np.searchsorted(self.breaks, x, side="right") - 1

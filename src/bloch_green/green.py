@@ -22,7 +22,19 @@ primary path.
 The low-energy series expands that same assembly in t = ik around k = 0,
 where no branch question arises: 2ik G = E(t) exp(q_1 t + q_3 t^3 + ...)
 with the endpoint factor E = ((1 - S(x, t))(1 - S(y, t)))^(-1/2).  It
-carries G through order k^3.
+carries G through order k^3.  The endpoint factor is read off the
+half-line expansion s_0, s_2, s_4 at x and at y, q_1 = e^{-V0} [+](y, x),
+and q_3 = -int_y^x s_2 is a bracket identity, not a quadrature.  With
+B(z) = [+-+](z - L, z) and D(z) = ([+-] - [-+])(z - L, z) over the cell
+window, dB/dz = e^V D and dD/dz = 2 (P e^{-V} - M e^V), so integrating
+from y gives
+
+    q_3 = (q_1 s_2(y) + 2 q_1^2 a_1(y)) / s_0(y) + q_1^3 / 3
+          - 2 e^{-V0} [-++](y, x).
+
+The cell invariant Q cancels, and the only new bracket lies over [y, x].
+The q_1^3 terms cancel as the window grows, so a window of n >= 1 whole
+periods plus a remainder r is taken as q_3(y, y + r) + n q_3(y, y + L).
 """
 
 from __future__ import annotations
@@ -31,14 +43,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .halfline import _s_values
-from .iterint import bracket, cell_Q
+from .iterint import bracket
 from .potential import CellConstants, PeriodicPotential
 from .transfer import (BandClass, EvolutionMatrix, _evolve, _period_monodromy,
                        _upper_k, branch_Z, evolve)
-from .wop import _own_cell_constants, _s2, expansion_coeffs
+from .wop import _own_cell_constants, expansion_coeffs
 
 __all__ = [
     "GreenValue",
@@ -184,34 +194,44 @@ def square_well_oracle(p: SquareWellParams, x: float, y: float, k: complex) -> c
 # ---------------------------------------------------------------------------
 # low-energy series
 
-def _endpoint_factor(pot, z: float):
-    """(c_2, c_4) with ((1 - S(z, t)) / (1 - S(z, 0)))^(-1/2)
-    = 1 + c_2 t^2 + c_4 t^4 + O(t^6), from s_0, s_2, s_4 at z."""
-    _, s = expansion_coeffs(pot, z, 4)
-    u2 = float(s[2] / s[0])
-    u4 = float(s[4] / s[0])
-    return -0.5 * u2, 0.375 * u2 * u2 - 0.5 * u4
-
-
 MAX_SERIES_ORDER = 3
 
-# Gauss points per panel of the integral of s_2 over [y, x]
-SERIES_QUAD_ORDER = 16
+
+def _exp_series(p, n: int) -> list:
+    """[t^0 .. t^n] of exp(p(t)) for a power series p with p(0) = 0, from
+    (e^p)' = p' e^p."""
+    e = [1.0]
+    for m in range(1, n + 1):
+        e.append(sum(j * p[j] * e[m - j] for j in range(1, m + 1)) / m)
+    return e
+
+
+def _q_3(pot, V0: float, y: float, z: float, a_1: float, s) -> float:
+    """-int_y^z s_2 by the bracket identity of the module docstring, from
+    a_1 and s = (s_0, s_1, s_2) at y."""
+    q_1 = math.exp(-V0) * bracket(pot, "+", y, z)
+    return float((q_1 * s[2] + 2.0 * q_1 ** 2 * a_1) / s[0] + q_1 ** 3 / 3.0
+                 - 2.0 * math.exp(-V0) * bracket(pot, "-++", y, z))
 
 
 def green_series(pot: PeriodicPotential, x: float, y: float,
                  cc: CellConstants | None = None, order: int = MAX_SERIES_ORDER) -> GreenSeries:
     """Low-energy coefficients of the Green function through order k^order.
 
-    `order` runs from 0 to 3; coefficients above it are returned as zero,
-    and so is q_3 below order 2.  g_m1 .. g_2 are bracket-integral closed
-    forms.  g_3 is the t^4 coefficient of 2t G = E(t) exp(q_1 t + q_3 t^3)
-    and needs s_4 at both endpoints, which only the contour route of
-    `expansion_coeffs` gives (64 one-period propagations per endpoint).
+    With t = ik, 2t G = 2 g_m1 E_x(t) E_y(t) exp(q_1 t + q_3 t^3), and
+    g_{n-1} = g_m1 [t^n] of that product.  The endpoint factor
+    E_z = (1 + u_2 t^2 + u_4 t^4)^(-1/2) = 1 + c_2 t^2 + c_4 t^4 + ...,
+    u_j = s_j(z) / s_0(z), and 2 g_m1 = (s_0(x) s_0(y))^(-1/2) come from
+    `expansion_coeffs` at z; q_1 and q_3 from the brackets [+] and [-++]
+    over [y, x], or over its remainder and one period when it spans one
+    or more (module docstring).
 
-    Raises `ExtrapolationError` at order 3 when that contour disagrees
-    with the closed forms at either endpoint.  `cc`, if given, must be
-    `cell_constants(pot)`.
+    `order` runs from 0 to 3; coefficients above it are returned as zero,
+    and so is q_3 below order 2.  Order 3 needs s_4 at both endpoints,
+    which only the contour route of `expansion_coeffs` gives (64
+    one-period propagations per endpoint); it raises `ExtrapolationError`
+    when that contour disagrees with the closed forms at either endpoint.
+    `cc`, if given, must be `cell_constants(pot)`.
     """
     if not 0 <= order <= MAX_SERIES_ORDER:
         raise ValueError(f"order must be in 0..{MAX_SERIES_ORDER}")
@@ -220,36 +240,23 @@ def green_series(pot: PeriodicPotential, x: float, y: float,
     if x < y:
         x, y = y, x
     cc = _own_cell_constants(pot, cc)
-    L = pot.period
-    vx = pot.V(x)
-    vy = pot.V(y)
-    envelope = math.exp(-0.5 * (vx + vy))
-    plus_xy = bracket(pot, "+", y, x) if x > y else 0.0
-    q_1 = math.exp(-cc.V0) * plus_xy
-    g_m1 = 0.5 * envelope * math.exp(cc.V0)
-    g_0 = 0.5 * envelope * plus_xy
-    g_1 = g_2 = g_3 = q_3 = 0.0
-    if order >= 1:
-        q = cell_Q(pot)
-        pmp_x = bracket(pot, "+-+", x - L, x)
-        pmp_y = bracket(pot, "+-+", y - L, y)
-        g_1 = (envelope / (4.0 * cc.L0)
-               * (pmp_x + pmp_y + cc.L0 * math.exp(cc.V0) * q_1 ** 2
-                  - math.exp(cc.V0) / cc.L0 * (cc.L0 ** 4 / 4.0 + q)))
+    N = (0, 2, 2, 4)[order]  # s_0 .. s_{order+1} at each endpoint
+    ax, sx = expansion_coeffs(pot, x, N)
+    ay, sy = (ax, sx) if x == y else expansion_coeffs(pot, y, N)
+    q_1 = math.exp(-cc.V0) * bracket(pot, "+", y, x)
+    q_3 = 0.0
     if order >= 2:
-        if x > y:
-            mesh = pot.mesh(y, x, SERIES_QUAD_ORDER, max_panel=pot.period / 2.0)
-            nodes, weights = mesh.gauss_rule(SERIES_QUAD_ORDER)
-            int_s2 = float(np.dot(weights, [_s2(pot, z) for z in nodes]))
-        else:
-            int_s2 = 0.0
-        q_3 = -int_s2
-        g_2 = (q_1 * g_1
-               - (q_1 ** 3 / 3.0 + int_s2) * g_m1)
-    if order >= 3:
-        c2x, c4x = _endpoint_factor(pot, x)
-        c2y, c4y = (c2x, c4x) if x == y else _endpoint_factor(pot, y)
-        g_3 = g_m1 * (c4x + c4y + c2x * c2y + 0.5 * (c2x + c2y) * q_1 ** 2
-                      + q_1 ** 4 / 24.0 + q_1 * q_3)
-    return GreenSeries(g_m1=g_m1, g_0=g_0, g_1=g_1, g_2=g_2, q_1=q_1, q_3=q_3,
-                       x=x, y=y, g_3=g_3)
+        L = pot.period
+        n = int((x - y) // L)
+        q_3 = _q_3(pot, cc.V0, y, max(y, x - n * L), ay[1], sy)
+        if n:
+            q_3 += n * _q_3(pot, cc.V0, y, y + L, ay[1], sy)
+    # exponent of 2t G / (2 g_m1): q_1 t + q_3 t^3 plus log E_x + log E_y,
+    # log E_z = -u_2 t^2 / 2 + (u_2^2 / 4 - u_4 / 2) t^4
+    u = [[float(v / s[0]) for v in s] + [0.0] * (4 - N) for s in (sx, sy)]
+    p = [0.0, q_1, -0.5 * (u[0][2] + u[1][2]), q_3,
+         0.25 * (u[0][2] ** 2 + u[1][2] ** 2) - 0.5 * (u[0][4] + u[1][4])]
+    g_m1 = 0.5 / math.sqrt(sx[0] * sy[0])
+    g = [g_m1 * e for e in _exp_series(p, order + 1)[1:]] + [0.0] * (3 - order)
+    return GreenSeries(g_m1=g_m1, g_0=g[0], g_1=g[1], g_2=g[2], q_1=q_1, q_3=q_3,
+                       x=x, y=y, g_3=g[3])

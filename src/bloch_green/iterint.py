@@ -20,7 +20,7 @@ __all__ = ["SignWord", "bracket", "cell_Q", "insertions", "alternating_tail_valu
 
 MAX_WORD_LEN = 8
 
-_ORDERS = (20, 30, 45, 64)
+_ORDERS = (20, 30, 45, 64, 96)
 
 # relative convergence tolerance of every bracket
 BRACKET_TOL = 1e-12
@@ -70,7 +70,7 @@ def _nested_pass(pot, signs, a, b, order) -> np.ndarray:
     [a, b], one antiderivative pass per letter on one panel mesh."""
     mesh = pot.mesh(a, b, order, max_panel=pot.period)
     v = pot.V_on_mesh(mesh)
-    weights = {1: np.exp(v), -1: np.exp(-v)}
+    weights = {s: np.exp(s * v) for s in set(signs)}
     out = np.empty(len(signs))
     J = 1.0
     for m, s in enumerate(signs):

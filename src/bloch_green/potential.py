@@ -344,7 +344,9 @@ class PeriodicPotential:
 
     def breakpoints(self, a: float, b: float) -> np.ndarray:
         """Mesh breakpoints for [a, b]: endpoints, interior segment
-        boundaries, and interior smoothness knots of table segments."""
+        boundaries, and interior smoothness knots of table segments.
+        Points closer than 1e-13 max(1, L) are merged; a window shorter than
+        that keeps its two ends."""
         pts = [a, b]
         pts.extend(p for p, _ in self.boundaries_in(a, b) if a < p < b)
         for p0, seg in zip(self._origins, self.segments):
@@ -353,7 +355,7 @@ class PeriodicPotential:
                            if p < b)
         pts = np.array(sorted(set(pts)))
         keep = np.concatenate(([True], np.diff(pts) > 1e-13 * max(1.0, self.period)))
-        return pts[keep]
+        return pts[keep] if keep.sum() > 1 else np.array([a, b])
 
     def mesh(self, a: float, b: float, order: int, max_panel: float | None = None) -> PanelMesh:
         breaks = self.breakpoints(a, b)

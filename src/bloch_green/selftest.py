@@ -1,8 +1,9 @@
 """Built-in invariant battery behind the CLI selftest command.
 
 A fast, deterministic miniature of the full test suite: propagation
-identities, cell constants, operator identities, expansion cross-checks and
-the square-cell oracle.  Each check prints one PASS/FAIL line.
+identities, cell constants, operator identities, expansion cross-checks,
+the square-cell oracle and the low-energy series.  Each check prints one
+PASS/FAIL line.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 import numpy as np
 
 from . import wop
-from .green import SquareWellParams, green_exact, square_well_oracle
+from .green import SquareWellParams, green_exact, green_series, square_well_oracle
 from .halfline import m_functions, s_functions
 from .potential import cell_constants, load_potential, square_potential
 from .transfer import evolve, monodromy, series_evolution
@@ -88,6 +89,11 @@ def _checks():
             worst = max(worst, abs(exact - ref) / abs(ref))
         return worst, 1e-8
 
+    def series_match():
+        gs = green_series(pot, 0.4, 0.1, order=2)
+        exact = green_exact(pot, 0.4, 0.1, 0.05).G_S
+        return abs(gs(0.05) - exact) / abs(exact), 1e-6
+
     def m_reconstruction():
         worst = 0.0
         for k in (0.5, 1.0):
@@ -105,6 +111,7 @@ def _checks():
         ("operator-identities", operator_identities),
         ("expansion-closed-forms", expansion_closed_forms),
         ("green-oracle", oracle_match),
+        ("green-series", series_match),
         ("m-reconstruction", m_reconstruction),
     ]
 

@@ -142,13 +142,13 @@ class WGridFunction:
     def eval_x(self, x: float) -> np.ndarray:
         """Profile over the W nodes at a single x (right-continuous at breaks).
 
-        x is reduced into the cell window by periodicity.
+        x is moved into the cell window by the potential's translate
+        arithmetic, so a boundary translate lands on the boundary itself.
         """
+        pot = self.grid.pot
+        i, start = pot._locate(float(x))
+        x = pot._origins[i] + (float(x) - start)
         mesh = self.grid.mesh
-        L = self.grid.pot.period
-        x = mesh.a + math.fmod(x - mesh.a, L)
-        if x < mesh.a:
-            x += L
         i = int(mesh.panel_of(np.asarray([x]))[0])
         xi = (x - mesh.mid[i]) / mesh.half[i]
         c = vals_to_coeffs(self.values[i], axis=0)
@@ -325,14 +325,6 @@ def _own_cell_constants(pot, cc: CellConstants | None) -> CellConstants:
     return own
 
 
-def _s2(pot, x: float) -> float:
-    """s_2 = 2 a_2 at x, the bracket-integral closed form."""
-    cc = cell_constants(pot)
-    pmp = bracket(pot, "+-+", x - pot.period, x)
-    return (math.exp(pot.V(x) - cc.V0) / cc.L0
-            * (math.exp(-cc.V0) * pmp - (cc.L0 ** 4 / 4.0 + cell_Q(pot)) / (2.0 * cc.L0)))
-
-
 # largest disagreement of the contour route with the closed forms at orders 0-2
 CONTOUR_TOL = 1e-7
 
@@ -358,7 +350,9 @@ def expansion_coeffs(pot, x: float, N: int, cc: CellConstants | None = None):
         mp = bracket(pot, "-+", x - L, x)
         a[1] = pref * (pm - mp) / (4.0 * cc.L0)
     if N >= 2:
-        a[2] = 0.5 * _s2(pot, x)
+        pmp = bracket(pot, "+-+", x - L, x)
+        a[2] = 0.5 * (pref / cc.L0 * (math.exp(-cc.V0) * pmp
+                                      - (cc.L0 ** 4 / 4.0 + cell_Q(pot)) / (2.0 * cc.L0)))
     if N >= 3:
         a_taylor = _taylor_coeffs_a(pot, x, N)
         mismatch = float(np.abs(a_taylor[: 3] - a[: 3]).max())

@@ -14,6 +14,14 @@ import numpy as np
 from bloch_green.transfer import MAGNUS_RTOL, _jump_matrix, _ode_piece
 
 
+def gauss_rule(mesh, order: int):
+    """(nodes, weights) of the Gauss-Legendre rule of the given order on
+    every panel of a `PanelMesh`, panels in order."""
+    t, w = np.polynomial.legendre.leggauss(order)
+    return ((mesh.mid[:, None] + mesh.half[:, None] * t).ravel(),
+            (mesh.half[:, None] * w).ravel())
+
+
 def _piece_scan(pot, a: float, b: float, k: complex, U0: np.ndarray,
                 targets: np.ndarray, rtol: float):
     """Propagate U0 from a to b inside one segment, recording U at each
@@ -98,7 +106,7 @@ def _green_by_line_integral(pot, x: float, y: float, kc: complex, Z: complex,
     edges; the primary route does not have this caveat.
     """
     if x > y:
-        nodes, weights = pot.mesh(y, x, quad_order, pot.period / 2.0).gauss_rule(quad_order)
+        nodes, weights = gauss_rule(pot.mesh(y, x, quad_order, pot.period / 2.0), quad_order)
         pts = np.concatenate([nodes, [x, y]])
     else:
         weights = np.zeros(0)

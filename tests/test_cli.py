@@ -245,6 +245,19 @@ def test_expand_on_strong_cell_stays_finite(tmp_path):
         assert all(math.isfinite(float(v)) for v in r), r
 
 
+def test_expand_on_steep_cosine_converges_or_fails_loud(tmp_path):
+    # amplitude 3 needs the 96-point rung of the bracket ladder; at
+    # amplitude 8 no rung converges, and the run says so
+    for amp, code in ((3, EXIT_OK), (8, EXIT_NUMERIC)):
+        pot = tmp_path / f"cos{amp}.pot"
+        pot.write_text(f"period=1; cosine amp={amp} len=1\n")
+        out = tmp_path / f"expand{amp}.csv"
+        cfg = RunConfig(command="expand", potential_path=str(pot), k_count=8,
+                        out=str(out))
+        assert run(cfg) == code, amp
+        assert out.exists() == (code == EXIT_OK)
+
+
 @pytest.mark.parametrize("command", ["bands", "green"])
 def test_numeric_failure_is_one_stderr_line(tmp_path, command):
     pot = tmp_path / "jump.pot"

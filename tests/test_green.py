@@ -214,23 +214,63 @@ def test_series_g3_square_reference(pot_square, cc_square):
     assert gs.g_3 == pytest.approx(0.00816921732413618, abs=1e-12)
 
 
-def test_series_endpoint_expansion_reproduces_closed_forms(pot_square, pot_cosine):
-    # 2t G = E(t) exp(q_1 t + q_3 t^3) with E = e_0 (1 + c_2 t^2 + ...) at
-    # each endpoint: its t^0..t^3 terms are the bracket closed forms
-    from bloch_green.green import _endpoint_factor
-    from bloch_green.potential import cell_constants
-    for pot, x, y in ((pot_square, 0.4, 0.1), (pot_cosine, 1.1, 0.3)):
+SERIES_CELLS = (
+    ("period=1; const V=0 len=0.6; const V=1 len=0.4", ((0.4, 0.1), (3.7, 0.2))),
+    ("period=2; cosine amp=0.3 len=2", ((1.1, 0.3), (3.7, 0.2))),
+    ("period=1.5; const V=0.3 len=0.4; cosine amp=0.7 phase=0.4 len=0.5; "
+     "linear V0=-0.5 V1=1.2 len=0.6", ((1.1, 0.3), (3.7, 0.2))),
+)
+
+
+def int_s2(pot, a, b):
+    """int_a^b s_2 by Gauss quadrature of its closed form, 32 points per
+    panel on panels of at most L/8."""
+    from green_line_integral import gauss_rule
+    from bloch_green.wop import expansion_coeffs
+    nodes, weights = gauss_rule(pot.mesh(a, b, 32, max_panel=pot.period / 8.0), 32)
+    return float(np.dot(weights, [expansion_coeffs(pot, z, 2)[1][2] for z in nodes]))
+
+
+def test_series_endpoint_expansion_reproduces_closed_forms():
+    # the series read off the endpoint expansion reproduces the cell-window
+    # bracket closed form of g_1, and q_3 = -int_y^x s_2 from a converged
+    # Gauss quadrature of the s_2 closed form
+    from bloch_green.iterint import bracket, cell_Q
+    from bloch_green.potential import cell_constants, load_potential
+    for spec, points in SERIES_CELLS:
+        pot = load_potential(spec)
         cc = cell_constants(pot)
-        gs = green_series(pot, x, y, cc=cc)
-        c2x, _ = _endpoint_factor(pot, x)
-        c2y, _ = _endpoint_factor(pot, y)
-        e0 = 2.0 * gs.g_m1
-        e2 = e0 * (c2x + c2y)
-        q1, q3 = gs.q_1, gs.q_3
-        assert 2.0 * gs.g_0 == pytest.approx(e0 * q1, rel=1e-13)
-        assert 2.0 * gs.g_1 == pytest.approx(e2 + e0 * q1 ** 2 / 2, rel=1e-12)
-        assert 2.0 * gs.g_2 == pytest.approx(e2 * q1 + e0 * (q1 ** 3 / 6 + q3),
-                                             rel=1e-12)
+        L = pot.period
+        for x, y in points:
+            gs = green_series(pot, x, y, order=2)
+            envelope = math.exp(-0.5 * (pot.V(x) + pot.V(y)))
+            pmp_x = bracket(pot, "+-+", x - L, x)
+            pmp_y = bracket(pot, "+-+", y - L, y)
+            g_1 = (envelope / (4.0 * cc.L0)
+                   * (pmp_x + pmp_y + cc.L0 * math.exp(cc.V0) * gs.q_1 ** 2
+                      - math.exp(cc.V0) / cc.L0 * (cc.L0 ** 4 / 4.0 + cell_Q(pot))))
+            assert gs.g_1 == pytest.approx(g_1, rel=1e-12), (spec, x, y)
+            assert gs.q_3 == pytest.approx(-int_s2(pot, y, x), rel=1e-12), (spec, x, y)
+
+
+def test_series_q3_over_many_periods_and_tiny_windows():
+    # s_2 has period L, so the reference integrates it by quadrature over
+    # one period and the remainder; the bracket identity alone loses 1e-10
+    # to cancellation at 30 periods.  Windows shorter than the mesh's merge
+    # distance, as [y, x] itself or as the remainder, stay finite.
+    from bloch_green.potential import load_potential
+    y, n = 0.2, 30
+    for spec, _ in SERIES_CELLS[::2]:
+        pot = load_potential(spec)
+        L = pot.period
+        per_period = -int_s2(pot, y, y + L)
+        x = y + n * L + 0.35 * L
+        want = n * per_period - int_s2(pot, y, y + 0.35 * L)
+        assert green_series(pot, x, y, order=2).q_3 == pytest.approx(want, rel=1e-12), spec
+        for d in (1e-14, 1e-16):
+            assert abs(green_series(pot, y + d, y, order=2).q_3) < 1e-12
+            gs = green_series(pot, y + n * L + d, y, order=2)
+            assert gs.q_3 == pytest.approx(n * per_period, rel=1e-12), (spec, d)
 
 
 def test_series_order_truncates(pot_square, cc_square):

@@ -117,6 +117,15 @@ def test_bracket_validates_window(pot_free):
     assert bracket(pot_free, "+-", 0.5, 0.5) == 0.0
 
 
+def test_bracket_over_window_below_merge_distance(pot_square):
+    # a window shorter than the breakpoint merge distance is one short panel
+    for d in (1e-14, 1e-16):
+        b = 0.3 + d
+        w = b - 0.3
+        assert bracket(pot_square, "+", 0.3, b) == pytest.approx(w, rel=1e-12)
+        assert bracket(pot_square, "+-", 0.3, b) == pytest.approx(w * w / 2, rel=1e-12)
+
+
 def test_bracket_cache_consistency(pot_square):
     v1 = bracket(pot_square, "+-", 0.0, 1.0)
     v2 = bracket(pot_square, "+-", 0.0, 1.0)

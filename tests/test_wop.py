@@ -273,6 +273,21 @@ def test_rbar_periodic_extension_consistent(pot_square, cc_square, grid_square):
         assert np.abs(prof_a - prof_b).max() < 1e-12
 
 
+def test_eval_x_same_at_every_translate():
+    # right-continuous at the jump at every translate x = p0 + j L, also on
+    # an offset cell: the point is located as the potential locates it
+    from bloch_green.potential import load_potential
+    for spec in ("period=1; const V=0 len=0.6; const V=1 len=0.4",
+                 "period=1; offset=0.3; const V=0 len=0.6; const V=1 len=0.4"):
+        pot = load_potential(spec)
+        v = WopGrid(pot).sample(lambda v, w: v * np.ones_like(w))
+        p0 = pot.offset + 0.6
+        want = v.eval_x(p0)
+        assert want == pytest.approx(1.0, abs=1e-12)
+        for j in range(-8, 9):
+            assert np.array_equal(v.eval_x(p0 + j * pot.period), want), (spec, j)
+
+
 def test_grid_w_resolution_guard(pot_square, cc_square):
     # a deliberately coarse W grid cannot resolve the seed profile
     grid = WopGrid(pot_square, w_order=7, w_span=6.0)
