@@ -1,19 +1,26 @@
 """Ordered iterated integrals of exp(sum sigma_j V(z_j)) over simplices.
 
-The n-fold simplex integral for a sign word (sigma_1 .. sigma_n) is computed
-by the nested cumulative scheme J_m(t) = integral_a^t e^{sigma_m V} J_{m-1},
-one spectral antiderivative pass per letter, so the cost is linear in the
-word length.  Bracket values and the cell invariant are memoised on the
-potential.
+The n-fold simplex integral of a sign word (sigma_1 .. sigma_n) over [a, b]
+is the last of the nested integrals J_m(t) = integral_a^t e^{sigma_m V} J_{m-1},
+J_0 = 1.  One walk over the intervals between the window's breakpoints
+carries J_1 .. J_n across each interval boundary, which is Chen's identity
+for one word.  A const interval updates them in closed form, a finite sum
+of nonnegative terms; a run of smooth intervals takes one spectral
+antiderivative pass per letter on a mesh of the run, seeded with the
+carried values.  So the cost is linear in the word length on smooth runs.
+Bracket values and the cell invariant are memoised on the potential.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._spectral import cumulative_integral
+from ._spectral import PanelMesh, cumulative_integral
 from .potential import QuadratureError
 
 __all__ = ["SignWord", "bracket", "cell_Q", "insertions", "alternating_tail_values"]
@@ -21,6 +28,10 @@ __all__ = ["SignWord", "bracket", "cell_Q", "insertions", "alternating_tail_valu
 MAX_WORD_LEN = 8
 
 _ORDERS = (20, 30, 45, 64, 96)
+
+# a smooth interval gets at least one panel per this much variation of V
+# over its segment, so that one panel never spans a wide range of e^{+-V}
+V_RANGE_PER_PANEL = 4.0
 
 # relative convergence tolerance of every bracket
 BRACKET_TOL = 1e-12
@@ -65,18 +76,91 @@ def insertions(word, sigma: int):
     return [SignWord(w[:i] + (sigma,) + w[i:]) for i in range(len(w) + 1)]
 
 
-def _nested_pass(pot, signs, a, b, order) -> np.ndarray:
-    """End values of the nested integrals J_1 .. J_n of the word `signs` over
-    [a, b], one antiderivative pass per letter on one panel mesh."""
-    mesh = pot.mesh(a, b, order, max_panel=pot.period)
+def _pieces(pot, a, b) -> list:
+    """(lo, hi, segment) for each interval between the breakpoints of [a, b]."""
+    pts = pot.breakpoints(a, b).tolist()
+    return [(lo, hi, pot.segment_at(0.5 * (lo + hi))[0])
+            for lo, hi in zip(pts[:-1], pts[1:])]
+
+
+@functools.cache
+def _partial_sums(signs):
+    """c_0 = 0 and c_m = sigma_1 + .. + sigma_m, and their negatives."""
+    c = (0,) + tuple(itertools.accumulate(signs))
+    return c, tuple(-x for x in c)
+
+
+def _powers(level, exps):
+    """e^{|level| x} for each integer x, as integer powers of e^{|level|}, so
+    that |level| x is never rounded; inf or 0.0 where they overflow."""
+    try:
+        base = math.exp(abs(level))
+        return [base ** x for x in exps]
+    except OverflowError:
+        with np.errstate(over="ignore", divide="ignore"):
+            return (np.exp(abs(level)) ** np.array(exps, dtype=float)).tolist()
+
+
+def _const_update(J, signs, level, h):
+    """J_0 .. J_n carried across a const interval of the given level and
+    length: J_m <- sum_{i<=m} J_i e^{level (c_m - c_i)} h^{m-i}/(m-i)!, a
+    sum of terms >= 0, taken as e^{level c_m} times the Taylor shift by h
+    of the scaled J_i e^{-level c_i}."""
+    c, neg = _partial_sums(signs)
+    up = _powers(level, c if level >= 0 else neg)
+    down = _powers(level, neg if level >= 0 else c)
+    coeff = [1.0]
+    for k in range(1, len(signs) + 1):
+        coeff.append(coeff[-1] * (h / k))
+    # an empty J_i stays empty where its scale overflows
+    scaled = [j * d if j else 0.0 for j, d in zip(J, down)]
+    out = []
+    for m, u in enumerate(up):
+        acc = 0.0
+        for i in range(m + 1):
+            acc += scaled[i] * coeff[m - i]
+        out.append(u * acc)
+    return out
+
+
+def _smooth_update(pot, J, signs, run, order):
+    """J_0 .. J_n carried across a run of smooth intervals by one cumulative
+    pass per letter, on panels of at most one period and at least one per
+    V_RANGE_PER_PANEL of the segment's range of V."""
+    breaks = [run[0][0]]
+    for lo, hi, seg in run:
+        nsub = max(1, math.ceil((hi - lo) / pot.period),
+                   math.ceil(seg.v_range / V_RANGE_PER_PANEL))
+        breaks.extend(lo + (hi - lo) * (j + 1) / nsub for j in range(nsub))
+    mesh = PanelMesh(np.array(breaks), order)
     v = pot.V_on_mesh(mesh)
     weights = {s: np.exp(s * v) for s in set(signs)}
-    out = np.empty(len(signs))
-    J = 1.0
-    for m, s in enumerate(signs):
-        J = cumulative_integral(J * weights[s], mesh.half)
-        out[m] = J[-1, -1]
-    return out
+    J = list(J)
+    prev = J[0]
+    for m, s in enumerate(signs, start=1):
+        prev = cumulative_integral(prev * weights[s], mesh.half) + J[m]
+        J[m] = float(prev[-1, -1])
+    return J
+
+
+def _nested_pass(pot, signs, pieces, order) -> np.ndarray:
+    """End values of the nested integrals J_1 .. J_n of the word `signs` over
+    the window cut into `pieces`: one walk over them, const intervals in
+    closed form, each maximal run of smooth ones at `order` Lobatto points
+    per panel."""
+    J = [1.0] + [0.0] * len(signs)
+    run = []
+    for piece in pieces:
+        if piece[2].kind != "const":
+            run.append(piece)
+            continue
+        if run:
+            J = _smooth_update(pot, J, signs, run, order)
+            run = []
+        J = _const_update(J, signs, piece[2].level, piece[1] - piece[0])
+    if run:
+        J = _smooth_update(pot, J, signs, run, order)
+    return np.array(J[1:])
 
 
 def bracket(pot, word, a: float, b: float) -> float:
@@ -89,10 +173,19 @@ def bracket(pot, word, a: float, b: float) -> float:
     if b == a:
         return 0.0
 
+    def finite(val):
+        if not math.isfinite(val):
+            raise OverflowError(f"bracket {w} over [{a}, {b}] overflowed to {val!r}")
+        return val
+
     def compute():
+        # a window of const intervals is exact at any order: no ladder
+        pieces = _pieces(pot, a, b)
+        if all(seg.kind == "const" for _, _, seg in pieces):
+            return finite(float(_nested_pass(pot, w.signs, pieces, None)[-1]))
         prev = None
         for order in _ORDERS:
-            val = float(_nested_pass(pot, w.signs, a, b, order)[-1])
+            val = finite(float(_nested_pass(pot, w.signs, pieces, order)[-1]))
             if prev is not None and abs(val - prev) <= BRACKET_TOL * max(1.0, abs(val)):
                 return val
             prev = val
@@ -130,5 +223,5 @@ def alternating_tail_values(pot, a: float, b: float, first_sign: int, count: int
         raise ValueError("need a <= b")
     if b == a:
         return np.zeros(count)
-    signs = [first_sign if m % 2 == 0 else -first_sign for m in range(count)]
-    return _nested_pass(pot, signs, a, b, order)
+    signs = tuple(first_sign if m % 2 == 0 else -first_sign for m in range(count))
+    return _nested_pass(pot, signs, _pieces(pot, a, b), order)

@@ -70,6 +70,10 @@ class ConstSegment:
     def knots(self):
         return ()
 
+    @property
+    def v_range(self):
+        return 0.0
+
 
 @dataclass(frozen=True)
 class LinearSegment:
@@ -91,6 +95,10 @@ class LinearSegment:
     @property
     def knots(self):
         return ()
+
+    @property
+    def v_range(self):
+        return abs(self.v_end - self.v_start)
 
 
 @dataclass(frozen=True)
@@ -115,6 +123,11 @@ class CosineSegment:
     @property
     def knots(self):
         return ()
+
+    @property
+    def v_range(self):
+        # the argument sweeps one full turn over the segment
+        return 2.0 * abs(self.amp)
 
 
 @dataclass(frozen=True)
@@ -152,6 +165,11 @@ class TableSegment:
         # the monotone cubic is only C1 at its sample points; quadrature
         # panels must not straddle them
         return tuple(float(t) for t in self.xs[1:-1])
+
+    @property
+    def v_range(self):
+        # the monotone cubic does not overshoot its samples
+        return max(self.vs) - min(self.vs)
 
 
 @dataclass(frozen=True)
@@ -547,6 +565,6 @@ def cell_constants(pot: PeriodicPotential) -> CellConstants:
         a = pot.offset
         M = bracket(pot, "-", a, a + pot.period)
         P = bracket(pot, "+", a, a + pot.period)
-        return CellConstants(M=M, P=P, L0=math.sqrt(P * M), V0=0.5 * math.log(P / M))
+        return CellConstants(M=M, P=P, L0=math.sqrt(P * M), V0=0.5 * (math.log(P) - math.log(M)))
 
     return pot._cached("cell_constants", compute)

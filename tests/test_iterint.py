@@ -1,15 +1,37 @@
+import itertools
 import math
 
+import bracket_reference as ref
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev
 
+from bloch_green import iterint
 from bloch_green._spectral import PanelMesh, cumulative_integral, lobatto_nodes, vals_to_coeffs
-from bloch_green.iterint import SignWord, bracket, cell_Q, insertions
+from bloch_green.cli import EXIT_OK, RunConfig, run
+from bloch_green.green import green_series
+from bloch_green.iterint import SignWord, alternating_tail_values, bracket, cell_Q, insertions
+from bloch_green.potential import cell_constants, load_potential
+from bloch_green.wop import expansion_coeffs
 
 A, B, C = 0.6, 0.4, 1.0
+
+CONST_CELLS = (
+    "period=1; const V=0 len=0.6; const V=1 len=0.4",
+    "period=1; offset=0.3; const V=0 len=0.6; const V=1 len=0.4",
+    "period=2; const V=0.2 len=0.3; const V=-1.5 len=0.9; const V=2 len=0.8",
+)
+SMOOTH_CELLS = (
+    "period=2; cosine amp=0.3 len=2",
+    "period=1; linear V0=-0.4 V1=0.6 len=0.5; linear V0=0.6 V1=-0.4 len=0.5",
+)
+# every sign word of length 1 to 4 (30 words)
+WORDS_4 = [w for n in range(1, 5) for w in itertools.product((1, -1), repeat=n)]
+# windows over several periods whose ends sit inside pieces
+WINDOWS = ((0.1, 3.7), (-2.3, 1.05), (-5.1, 4.2), (0.35, 0.9))
 
 
 def test_sign_word_parsing():
@@ -148,3 +170,128 @@ def test_cumulative_integral_matches_chebint_reference(rng):
         assert np.abs(cumulative_integral(values, mesh.half) - ref).max() <= 1e-14 * scale
         flat = cumulative_integral(values[:, :, 0], mesh.half)  # no trailing axis
         assert np.abs(flat - ref[:, :, 0]).max() <= 1e-14 * scale
+
+
+def test_const_piece_is_its_closed_form():
+    # one const piece of level V and length h: prod e^{sigma_i V} h^n/n!,
+    # against 40-digit arithmetic, for levels up to 700 where no partial
+    # sign sum of the word overflows e^{|V c|}
+    levels = np.linspace(-700.0, 700.0, 57).tolist() + [-654.321, -1.7, 0.3, 123.456, 699.9]
+    worst = 0.0
+    with mpmath.workdps(40):
+        for V in levels:
+            pot = load_potential(f"period=1; const V={V!r} len=1")
+            for w in WORDS_4:
+                if abs(V) * max(abs(c) for c in itertools.accumulate(w)) > 700:
+                    continue
+                for a, b in ((0.125, 0.75), (0.3125, 0.9375)):  # b - a is exact
+                    want = (mpmath.exp(mpmath.mpf(V) * sum(w)) * mpmath.mpf(b - a) ** len(w)
+                            / math.factorial(len(w)))
+                    worst = max(worst, float(abs(bracket(pot, w, a, b) - want) / want))
+    assert worst <= 1e-15, worst
+
+
+def test_const_walk_matches_whole_window_reference():
+    # the walk against one whole-window Chebyshev pass, all 30 words
+    worst = 0.0
+    for spec in CONST_CELLS:
+        pot = load_potential(spec)
+        for (a, b), w in itertools.product(WINDOWS, WORDS_4):
+            want = ref.bracket(pot, w, a, b)
+            worst = max(worst, abs(bracket(pot, w, a, b) - want) / want)
+    assert worst <= 1e-14, worst
+
+
+def test_alternating_tails_match_whole_window_reference(pot_square):
+    for (a, b), first in itertools.product(((0.1, 1.3), (-0.7, 2.2)), (1, -1)):
+        signs = [first * (-1) ** m for m in range(12)]
+        got = alternating_tail_values(pot_square, a, b, first, 12, 30)
+        want = ref.nested_pass(pot_square, signs, a, b, 30)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def test_shuffle_rule_on_const_cells():
+    # [w][sigma] = sum of the insertions of sigma into w; all terms >= 0
+    for spec in CONST_CELLS:
+        pot = load_potential(spec)
+        for (a, b), sigma in itertools.product(WINDOWS, (1, -1)):
+            for w in WORDS_4[:14]:  # lengths 1 to 3
+                lhs = bracket(pot, w, a, b) * bracket(pot, [sigma], a, b)
+                rhs = sum(bracket(pot, v, a, b) for v in insertions(w, sigma))
+                assert lhs == pytest.approx(rhs, rel=1e-14, abs=0.0)
+
+
+def test_strong_const_cells_do_not_raise(tmp_path):
+    # the V = 700 half cell: [+-+-] spans e^{+-700} across its pieces
+    pot = load_potential("period=1; const V=0 len=0.5; const V=700 len=0.5")
+    cc = cell_constants(pot)
+    assert cc.P == pytest.approx(0.5 * (1.0 + math.exp(700.0)), rel=1e-14)
+    want_q = 0.5 ** 4 * (8.0 / 12.0 + (2.0 / 3.0) * math.cosh(700.0))  # square-cell Q
+    assert cell_Q(pot) == pytest.approx(want_q, rel=1e-14)
+    # a level-700 cell is free: V0 = 700, and the series is e^{t|x - y|}/2
+    for level in (700, -700):
+        spec = f"period=1; const V={level} len=1"
+        pot = load_potential(spec)
+        assert cell_constants(pot).V0 == pytest.approx(level, rel=1e-15)
+        assert cell_Q(pot) == pytest.approx(1.0 / 12.0, rel=1e-14)
+        gs = green_series(pot, 0.3, 0.1, order=2)
+        for got, want in zip((gs.g_m1, gs.g_0, gs.g_1, gs.g_2), (0.5, 0.1, 0.01, 0.0008 / 1.2)):
+            assert got == pytest.approx(want, rel=1e-13)
+        path = tmp_path / f"const{level}.pot"
+        path.write_text(spec + "\n")
+        cfg = RunConfig(command="expand", potential_path=str(path), k_count=8,
+                        out=str(tmp_path / f"expand{level}.csv"))
+        assert run(cfg) == EXIT_OK
+
+
+def test_const_windows_make_no_spectral_pass(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return cumulative_integral(*args)
+
+    monkeypatch.setattr(iterint, "cumulative_integral", counting)
+    for spec in CONST_CELLS:
+        pot = load_potential(spec)
+        cell_constants(pot)
+        cell_Q(pot)
+        expansion_coeffs(pot, 0.45, 2)
+        green_series(pot, 2.9, 0.2)
+        for (a, b), w in itertools.product(WINDOWS, WORDS_4):
+            bracket(pot, w, a, b)
+        alternating_tail_values(pot, 0.1, 1.3, 1, 12, 30)
+    assert not calls
+    bracket(load_potential(SMOOTH_CELLS[0]), "+-", 0.1, 1.7)
+    assert calls  # a smooth run still takes the spectral pass
+
+
+def test_smooth_brackets_bit_identical_to_reference():
+    # a window with no const interval takes the whole-window arithmetic
+    for spec in SMOOTH_CELLS:
+        pot = load_potential(spec)
+        for (a, b), w in itertools.product(WINDOWS[:3], WORDS_4):
+            assert bracket(pot, w, a, b) == ref.bracket(pot, w, a, b), (spec, w, a, b)
+
+
+def test_mixed_cell_brackets_match_reference():
+    # const and smooth intervals in one window: within the ladder's tolerance
+    pot = load_potential("period=1.5; const V=0.2 len=0.5; cosine amp=0.25 len=0.6; "
+                         "linear V0=0.1 V1=0.6 len=0.4")
+    for (a, b), w in itertools.product(WINDOWS, WORDS_4):
+        want = ref.bracket(pot, w, a, b)
+        assert bracket(pot, w, a, b) == pytest.approx(want, rel=iterint.BRACKET_TOL)
+
+
+def test_steep_smooth_run_gets_panels_by_its_range():
+    # amplitude 8: e^V spans e^16 over one period, and one panel per period
+    # stalls near 5e-11 between ladder orders; on panels set by the range of
+    # V the ladder converges, to the pass on eight 64-point panels
+    pot = load_potential("period=1; cosine amp=8 len=1")
+    mesh = PanelMesh(np.linspace(0.0, 1.0, 9), 64)
+    v = pot.V_on_mesh(mesh)
+    J = 1.0
+    for s in (-1, 1, -1, 1):
+        J = cumulative_integral(J * np.exp(s * v), mesh.half)
+    assert bracket(pot, "-+-+", 0.0, 1.0) == pytest.approx(J[-1, -1], rel=1e-12)
