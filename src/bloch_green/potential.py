@@ -371,9 +371,10 @@ class PeriodicPotential:
             for knot in seg.knots:
                 pts.extend(p for p in self._translates(p0 + knot, a, b)
                            if p < b)
-        pts = np.array(sorted(set(pts)))
-        keep = np.concatenate(([True], np.diff(pts) > 1e-13 * max(1.0, self.period)))
-        return pts[keep] if keep.sum() > 1 else np.array([a, b])
+        pts = sorted(set(pts))
+        tol = 1e-13 * max(1.0, self.period)
+        kept = pts[:1] + [q for p, q in zip(pts, pts[1:]) if q - p > tol]
+        return np.array(kept if len(kept) > 1 else [a, b])
 
     def mesh(self, a: float, b: float, order: int, max_panel: float | None = None) -> PanelMesh:
         breaks = self.breakpoints(a, b)

@@ -15,6 +15,7 @@ import numpy as np
 from . import wop
 from .green import SquareWellParams, green_exact, green_series, square_well_oracle
 from .halfline import m_functions, s_functions
+from .iterint import bracket, cell_Q
 from .potential import cell_constants, load_potential, square_potential
 from .transfer import evolve, monodromy, series_evolution
 
@@ -44,6 +45,17 @@ def _checks():
     def cell_identity():
         return max(abs(cc.L0 ** 2 - cc.P * cc.M),
                    abs(cc.V0 - 0.5 * math.log(cc.P / cc.M))), 1e-12
+
+    def const_brackets():
+        # square cell, wells of width a = 0.6 and 0.4 at levels 0 and C = 1:
+        # [+-] over the cell ending at x in (0, a), and the invariant Q
+        a, b, ch = 0.6, 0.4, math.cosh(1.0)
+        worst = abs(cell_Q(pot) - ((a ** 4 + 6 * a * a * b * b + b ** 4) / 12
+                                   + (a * b / 3) * (a * a + b * b) * ch))
+        for x in (0.11, 0.4):
+            want = 0.5 * (a * a + b * b) + math.exp(-1.0) * b * (a - x) + math.e * b * x
+            worst = max(worst, abs(bracket(pot, "+-", x - 1.0, x) - want))
+        return worst, 1e-14
 
     def series_route():
         worst = 0.0
@@ -106,6 +118,7 @@ def _checks():
         ("unimodularity", unimodularity),
         ("composition", composition),
         ("cell-constants", cell_identity),
+        ("const-brackets", const_brackets),
         ("series-vs-ode", series_route),
         ("discriminant", discriminant),
         ("operator-identities", operator_identities),
