@@ -295,3 +295,14 @@ def test_steep_smooth_run_gets_panels_by_its_range():
     for s in (-1, 1, -1, 1):
         J = cumulative_integral(J * np.exp(s * v), mesh.half)
     assert bracket(pot, "-+-+", 0.0, 1.0) == pytest.approx(J[-1, -1], rel=1e-12)
+
+
+def test_const_pieces_beyond_the_float_range():
+    # e^{-800}: a prefix that underflows leaves the bracket 0, as it is
+    # to double precision; e^{800} overflows, and the bracket says so
+    pot = load_potential("period=1; const V=-400 len=1")
+    for w in ("++", "+-++"):
+        assert bracket(pot, w, 0.5, 2.7) == 0.0
+    pot = load_potential("period=1; const V=0 len=0.5; const V=800 len=0.5")
+    with pytest.raises(OverflowError, match="overflowed"):
+        bracket(pot, "+", 0.1, 0.9)
