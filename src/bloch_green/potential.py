@@ -566,6 +566,8 @@ def cell_constants(pot: PeriodicPotential) -> CellConstants:
         a = pot.offset
         M = bracket(pot, "-", a, a + pot.period)
         P = bracket(pot, "+", a, a + pot.period)
-        return CellConstants(M=M, P=P, L0=math.sqrt(P * M), V0=0.5 * (math.log(P) - math.log(M)))
+        # the logs apart: P/M overflows on strong cells
+        return CellConstants(M=M, P=P, L0=math.sqrt(P * M),
+                             V0=0.5 * (math.log(P) - math.log(M)))
 
     return pot._cached("cell_constants", compute)

@@ -47,8 +47,8 @@ def _checks():
                    abs(cc.V0 - 0.5 * math.log(cc.P / cc.M))), 1e-12
 
     def const_brackets():
-        # square cell, wells of width a = 0.6 and 0.4 at levels 0 and C = 1:
-        # [+-] over the cell ending at x in (0, a), and the invariant Q
+        # square cell, pieces of widths a = 0.6 and b = 0.4 at levels 0 and
+        # 1: the invariant Q, and [+-] over the cell ending at x in (0, a)
         a, b, ch = 0.6, 0.4, math.cosh(1.0)
         worst = abs(cell_Q(pot) - ((a ** 4 + 6 * a * a * b * b + b ** 4) / 12
                                    + (a * b / 3) * (a * a + b * b) * ch))

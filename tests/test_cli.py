@@ -246,9 +246,8 @@ def test_expand_on_strong_cell_stays_finite(tmp_path):
 
 
 def test_expand_on_steep_cosine_converges_or_fails_loud(tmp_path):
-    # amplitude 3 needs the 96-point rung of the bracket ladder; amplitude 8
-    # converges on panels set by the range of V; at amplitude 800 e^V
-    # overflows, and the run says so
+    # amplitudes 3 and 8 converge on panels set by the range of V; at
+    # amplitude 800 e^V overflows, and the run says so
     for amp, code in ((3, EXIT_OK), (8, EXIT_OK), (800, EXIT_NUMERIC)):
         pot = tmp_path / f"cos{amp}.pot"
         pot.write_text(f"period=1; cosine amp={amp} len=1\n")
