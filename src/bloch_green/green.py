@@ -228,10 +228,10 @@ def green_series(pot: PeriodicPotential, x: float, y: float,
 
     `order` runs from 0 to 3; coefficients above it are returned as zero,
     and so is q_3 below order 2.  Order 3 needs s_4 at both endpoints,
-    which only the contour route of `expansion_coeffs` gives (64
-    one-period propagations per endpoint); it raises `ExtrapolationError`
-    when that contour disagrees with the closed forms at either endpoint.
-    `cc`, if given, must be `cell_constants(pot)`.
+    which `expansion_coeffs` reads off the alternating-bracket series of
+    the one-period matrix (two nested passes per endpoint); it raises
+    `ExtrapolationError` when that series disagrees with the closed forms
+    at either endpoint.  `cc`, if given, must be `cell_constants(pot)`.
     """
     if not 0 <= order <= MAX_SERIES_ORDER:
         raise ValueError(f"order must be in 0..{MAX_SERIES_ORDER}")

@@ -7,7 +7,9 @@ carries J_1 .. J_n across each interval boundary, which is Chen's identity
 for one word.  A const interval updates them in closed form, a finite sum
 of nonnegative terms; a run of smooth intervals takes one spectral
 antiderivative pass per letter on a mesh of the run, seeded with the
-carried values.  So the cost is linear in the word length on smooth runs.
+carried values, and climbs the one order ladder _ORDERS until its last
+carried value settles.  So the cost is linear in the word length on smooth
+runs, and a window of const intervals is exact with no ladder at all.
 Bracket values and the cell invariant are memoised on the potential.
 """
 
@@ -123,31 +125,42 @@ def _const_update(J, signs, level, h):
     return out
 
 
-def _smooth_update(pot, J, signs, run, order):
+def _smooth_update(pot, J, signs, run):
     """J_0 .. J_n carried across a run of smooth intervals by one cumulative
     pass per letter, on panels of at most one period and at least one per
-    V_RANGE_PER_PANEL of the segment's range of V."""
+    V_RANGE_PER_PANEL of the segment's range of V.  The run climbs _ORDERS
+    Lobatto points per panel until the last carried value agrees with the
+    rung below to BRACKET_TOL."""
     breaks = [run[0][0]]
     for lo, hi, seg in run:
         nsub = max(1, math.ceil((hi - lo) / pot.period),
                    math.ceil(seg.v_range / V_RANGE_PER_PANEL))
         breaks.extend(lo + (hi - lo) * (j + 1) / nsub for j in range(nsub))
-    mesh = PanelMesh(np.array(breaks), order)
-    v = pot.V_on_mesh(mesh)
-    weights = {s: np.exp(s * v) for s in set(signs)}
-    J = list(J)
-    prev = J[0]
-    for m, s in enumerate(signs, start=1):
-        prev = cumulative_integral(prev * weights[s], mesh.half) + J[m]
-        J[m] = float(prev[-1, -1])
-    return J
+    breaks = np.array(breaks)
+    prev = None
+    for order in _ORDERS:
+        mesh = PanelMesh(breaks, order)
+        v = pot.V_on_mesh(mesh)
+        weights = {s: np.exp(s * v) for s in set(signs)}
+        out = list(J)
+        cum = out[0]
+        for m, s in enumerate(signs, start=1):
+            cum = cumulative_integral(cum * weights[s], mesh.half) + out[m]
+            out[m] = float(cum[-1, -1])
+        val = out[-1]
+        # a non-finite value is the caller's to report
+        if not math.isfinite(val) or (
+                prev is not None and abs(val - prev) <= BRACKET_TOL * max(1.0, abs(val))):
+            return out
+        prev = val
+    raise QuadratureError(f"nested integrals over [{breaks[0]}, {breaks[-1]}] "
+                          f"did not converge to {BRACKET_TOL:g}")
 
 
-def _nested_pass(pot, signs, pieces, order) -> np.ndarray:
+def _nested_pass(pot, signs, pieces) -> np.ndarray:
     """End values of the nested integrals J_1 .. J_n of the word `signs` over
     the window cut into `pieces`: one walk over them, const intervals in
-    closed form, each maximal run of smooth ones at `order` Lobatto points
-    per panel."""
+    closed form, each maximal run of smooth ones by `_smooth_update`."""
     J = [1.0] + [0.0] * len(signs)
     run = []
     for piece in pieces:
@@ -155,11 +168,11 @@ def _nested_pass(pot, signs, pieces, order) -> np.ndarray:
             run.append(piece)
             continue
         if run:
-            J = _smooth_update(pot, J, signs, run, order)
+            J = _smooth_update(pot, J, signs, run)
             run = []
         J = _const_update(J, signs, piece[2].level, piece[1] - piece[0])
     if run:
-        J = _smooth_update(pot, J, signs, run, order)
+        J = _smooth_update(pot, J, signs, run)
     return np.array(J[1:])
 
 
@@ -173,24 +186,11 @@ def bracket(pot, word, a: float, b: float) -> float:
     if b == a:
         return 0.0
 
-    def finite(val):
+    def compute():
+        val = float(_nested_pass(pot, w.signs, _pieces(pot, a, b))[-1])
         if not math.isfinite(val):
             raise OverflowError(f"bracket {w} over [{a}, {b}] overflowed to {val!r}")
         return val
-
-    def compute():
-        # a window of const intervals is exact at any order: no ladder
-        pieces = _pieces(pot, a, b)
-        if all(seg.kind == "const" for _, _, seg in pieces):
-            return finite(float(_nested_pass(pot, w.signs, pieces, None)[-1]))
-        prev = None
-        for order in _ORDERS:
-            val = finite(float(_nested_pass(pot, w.signs, pieces, order)[-1]))
-            if prev is not None and abs(val - prev) <= BRACKET_TOL * max(1.0, abs(val)):
-                return val
-            prev = val
-        raise QuadratureError(
-            f"bracket {w} over [{a}, {b}] did not converge to {BRACKET_TOL:g}")
 
     return pot._cached(("bracket", w.signs, float(a), float(b)), compute)
 
@@ -212,8 +212,8 @@ def cell_Q(pot) -> float:
     return pot._cached(("cell_Q",), compute)
 
 
-def alternating_tail_values(pot, a: float, b: float, first_sign: int, count: int,
-                            order: int) -> np.ndarray:
+def alternating_tail_values(pot, a: float, b: float, first_sign: int,
+                            count: int) -> np.ndarray:
     """End values of the alternating-word integrals of lengths 1..count.
 
     Word m starts with first_sign and alternates; these are the building
@@ -224,4 +224,4 @@ def alternating_tail_values(pot, a: float, b: float, first_sign: int, count: int
     if b == a:
         return np.zeros(count)
     signs = tuple(first_sign if m % 2 == 0 else -first_sign for m in range(count))
-    return _nested_pass(pot, signs, _pieces(pot, a, b), order)
+    return _nested_pass(pot, signs, _pieces(pot, a, b))

@@ -257,7 +257,7 @@ class PeriodicPotential:
         """The j of the last translate p0 + j*L <= x."""
         L = self.period
         j = math.floor((x - p0) / L)  # off by at most one
-        return j + int(p0 + (j + 1) * L <= x) - int(p0 + j * L > x)
+        return j + (p0 + (j + 1) * L <= x) - (p0 + j * L > x)
 
     def _locate(self, x: float):
         """(index, start) of the segment owning x: the boundary whose last
@@ -347,12 +347,8 @@ class PeriodicPotential:
 
     def _translates(self, p0: float, a: float, b: float) -> list:
         """The points p0 + j*L with a < p <= b."""
-        j = math.ceil((a - p0) / self.period)
-        j -= int(p0 + (j - 1) * self.period > a)  # the quotient's rounding may overshoot
+        j = self._last_translate(p0, a) + 1
         p = p0 + j * self.period
-        while p <= a:  # enforce strict a < p against rounding
-            j += 1
-            p = p0 + j * self.period
         out = []
         while p <= b:
             out.append(p)

@@ -101,10 +101,10 @@ def _checks():
             worst = max(worst, abs(exact - ref) / abs(ref))
         return worst, 1e-8
 
-    def series_match():
-        gs = green_series(pot, 0.4, 0.1, order=2)
+    def series_match(order, tol):
+        gs = green_series(pot, 0.4, 0.1, order=order)
         exact = green_exact(pot, 0.4, 0.1, 0.05).G_S
-        return abs(gs(0.05) - exact) / abs(exact), 1e-6
+        return abs(gs(0.05) - exact) / abs(exact), tol
 
     def m_reconstruction():
         worst = 0.0
@@ -124,7 +124,8 @@ def _checks():
         ("operator-identities", operator_identities),
         ("expansion-closed-forms", expansion_closed_forms),
         ("green-oracle", oracle_match),
-        ("green-series", series_match),
+        ("green-series", lambda: series_match(2, 1e-6)),
+        ("green-series-order3", lambda: series_match(3, 1e-9)),
         ("m-reconstruction", m_reconstruction),
     ]
 

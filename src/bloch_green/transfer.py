@@ -498,61 +498,57 @@ def classify_band(pot, k: float) -> BandClass:
     return monodromy(pot, float(k)).band
 
 
-def series_evolution(pot, x: float, xprime: float, k: complex,
-                     tol: float = 1e-10, max_terms: int = 60) -> EvolutionMatrix:
+# the power-series route sums at most SERIES_TERMS powers of t = ik and
+# stops where two successive terms fall below SERIES_TOL
+SERIES_TERMS = 60
+SERIES_TOL = 1e-10
+
+
+def _series_coeffs(pot, x: float, xprime: float, n: int) -> np.ndarray:
+    """[t^0 .. t^n] in t = ik of (alpha_plus, alpha_minus, beta_plus,
+    beta_minus) of U(x, xprime) for x >= xprime, as a (4, n + 1) array.
+
+    The alternating words of lengths 1..n over [xprime, x] that start with
+    -1 (+1) are the t^1..t^n coefficients of a series whose even part
+    (with 1 at t^0) and odd part, rotated by the endpoint values of V,
+    give the matrix elements.
+    """
+    vx, vp = pot.V(x), pot.V(xprime)
+    tails = np.ones((2, n + 1))
+    tails[0, 1:] = alternating_tail_values(pot, xprime, x, -1, n)
+    tails[1, 1:] = alternating_tail_values(pot, xprime, x, +1, n)
+    odd = np.arange(n + 1) % 2 == 1
+    at_p, at_m = np.where(odd, 0.0, tails) * [[math.exp(-0.5 * (vx - vp))],
+                                              [math.exp(0.5 * (vx - vp))]]
+    bt_p, bt_m = np.where(odd, tails, 0.0) * [[math.exp(0.5 * (vx + vp))],
+                                              [math.exp(-0.5 * (vx + vp))]]
+    return 0.5 * np.array([at_p + at_m - bt_p - bt_m, at_p + at_m + bt_p + bt_m,
+                           at_p - at_m + bt_p - bt_m, at_p - at_m - bt_p + bt_m])
+
+
+def series_evolution(pot, x: float, xprime: float, k: complex) -> EvolutionMatrix:
     """Evolution matrix from the iterated-integral power series in k.
 
     Practical for |k|*(x - xprime) up to order unity; raises
-    SeriesDivergenceError when the term count exceeds max_terms without the
-    tail falling below tol (use evolve instead there).
+    SeriesDivergenceError when SERIES_TERMS powers leave the tail above
+    SERIES_TOL (use evolve instead there).
     """
     k = complex(k)
     x = float(x)
     xprime = float(xprime)
+    if not (math.isfinite(x) and math.isfinite(xprime) and cmath.isfinite(k)):
+        raise ValueError(f"x, xprime and k must be finite, got {x}, {xprime}, {k}")
     if x == xprime:
         return EvolutionMatrix(1.0, 1.0, 0.0, 0.0, x, xprime, k)
     if x < xprime:
-        return series_evolution(pot, xprime, x, k, tol, max_terms).inverse()
-
-    vx = pot.V(x)
-    vp = pot.V(xprime)
-    prev = None
-    for order in (30, 45, 64):
-        tail_p = alternating_tail_values(pot, xprime, x, -1, max_terms, order)
-        tail_m = alternating_tail_values(pot, xprime, x, +1, max_terms, order)
-        ikp = np.cumprod(np.full(max_terms, 1j * k))  # (ik)^m, m = 1..max_terms
-        terms_p = ikp * tail_p
-        terms_m = ikp * tail_m
-        scale = max(math.exp(abs(vx)), math.exp(abs(vp))) ** 2
-        mags = np.maximum(np.abs(terms_p), np.abs(terms_m)) * scale
-        cut = None
-        for m in range(1, max_terms):
-            if mags[m] < tol and mags[m - 1] < tol:
-                cut = m + 1
-                break
-        if cut is None:
-            raise SeriesDivergenceError(
-                f"series tail still {mags[-1]:.2e} after {max_terms} terms; "
-                "use evolve for this k")
-        even_p = 1.0 + np.sum(terms_p[1:cut:2])  # m = 2, 4, ...
-        odd_p = np.sum(terms_p[0:cut:2])         # m = 1, 3, ...
-        even_m = 1.0 + np.sum(terms_m[1:cut:2])
-        odd_m = np.sum(terms_m[0:cut:2])
-        at_p = math.exp(-0.5 * (vx - vp)) * even_p
-        bt_p = math.exp(0.5 * (vx + vp)) * odd_p
-        at_m = math.exp(0.5 * (vx - vp)) * even_m
-        bt_m = math.exp(-0.5 * (vx + vp)) * odd_m
-        alpha_p = 0.5 * (at_p + at_m - bt_p - bt_m)
-        alpha_m = 0.5 * (at_p + at_m + bt_p + bt_m)
-        beta_p = 0.5 * (at_p - at_m + bt_p - bt_m)
-        beta_m = 0.5 * (at_p - at_m - bt_p + bt_m)
-        out = EvolutionMatrix(alpha_p, alpha_m, beta_p, beta_m, x, xprime, k)
-        if prev is not None:
-            delta = max(abs(out.alpha_plus - prev.alpha_plus),
-                        abs(out.alpha_minus - prev.alpha_minus),
-                        abs(out.beta_plus - prev.beta_plus),
-                        abs(out.beta_minus - prev.beta_minus))
-            if delta <= tol:
-                return out
-        prev = out
-    return prev
+        return series_evolution(pot, xprime, x, k).inverse()
+    powers = (1j * k) ** np.arange(SERIES_TERMS + 1)
+    terms = _series_coeffs(pot, x, xprime, SERIES_TERMS) * powers
+    mags = np.abs(terms).max(axis=0)
+    # powers m + 1 and m + 2 both below the tolerance, m >= 0
+    cut = np.flatnonzero((mags[1:-1] < SERIES_TOL) & (mags[2:] < SERIES_TOL))
+    if not cut.size:
+        raise SeriesDivergenceError(
+            f"series tail still {mags[-1]:.2e} after {SERIES_TERMS} terms; "
+            "use evolve for this k")
+    return EvolutionMatrix(*map(complex, terms[:, :cut[0] + 3].sum(axis=1)), x, xprime, k)

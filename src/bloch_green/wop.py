@@ -1,4 +1,6 @@
-"""Operator engine for the small-k expansion of reflection coefficients.
+"""Small-k expansion of reflection coefficients: the S-expansion
+coefficients (`expansion_coeffs`: bracket closed forms to order 2, the
+bracket series of the one-period matrix above) and the operator engine.
 
 Functions h(x, W) live on a tensor grid: a segment-aligned Chebyshev panel
 mesh over one cell in x, times a Chebyshev-Lobatto grid in the auxiliary
@@ -27,6 +29,7 @@ from ._spectral import (cheb_definite_integral_weights, coeffs_to_vals,
                         cumulative_integral, lobatto_nodes, vals_to_coeffs)
 from .iterint import bracket, cell_Q
 from .potential import CellConstants, cell_constants
+from .transfer import _series_coeffs
 
 __all__ = [
     "WopGrid",
@@ -52,7 +55,7 @@ class GridResolutionError(RuntimeError):
 
 
 class ExtrapolationError(RuntimeError):
-    """A limit extraction (large-negative-W profile or contour route)
+    """A limit extraction (large-negative-W profile) or the series route
     did not settle within tolerance."""
 
 
@@ -287,34 +290,30 @@ def rbar_closed(pot, x: float, W: float, n: int) -> float:
     return brace / (4.0 * cc.L0 * math.cosh(0.5 * dw) ** 3)
 
 
-def _taylor_coeffs_a(pot, x: float, N: int, rho: float | None = None,
-                     npts: int = 64) -> np.ndarray:
-    """Taylor coefficients of S_r(x, k) - 1/2 in powers of ik.
+def _taylor_coeffs_a(pot, x: float, N: int) -> np.ndarray:
+    """Taylor coefficients a_0 .. a_N of S_r(x, k) - 1/2 in powers of t = ik.
 
-    The half-line quantities are analytic in a disk around k = 0 (the
-    nearest singularities are the band edges), so the coefficients follow
-    from trapezoid quadrature on a circle in the ik plane.  The multiplier
-    branch inside the disk is fixed by continuity with Z ~ k L0.
+    S_r = 2 beta_+ / (alpha_+ - alpha_- + 2 beta_+ - 2iZ) from the
+    one-period matrix at x, whose t-series come from the alternating
+    brackets (`transfer._series_coeffs`).  On the one-period window
+    beta_+ and alpha_+ - alpha_- vanish at t = 0, so t cancels from
+    numerator and denominator; W = (Y^2 - 1)/t^2 starts at L0^2, and
+    Z = -it sqrt(W) is the branch Z ~ k L0, so -2iZ = -2t sqrt(W).
     """
-    from .halfline import _s_values
-    from .transfer import evolve
-
-    L0 = cell_constants(pot).L0
-    if rho is None:
-        rho = 0.4 / L0
-    theta = 2.0 * np.pi * np.arange(npts) / npts
-    zeta = rho * np.exp(1j * theta)
-    vals = np.empty(npts, dtype=complex)
-    for j, z in enumerate(zeta):
-        k = -1j * z
-        U = evolve(pot, x, pot.period_start(x), k)
-        Y = 0.5 * (U.alpha_plus + U.alpha_minus)
-        s = np.sqrt((1.0 - Y) * (1.0 + Y) + 0j)
-        if (s / (k * L0)).real < 0.0:
-            s = -s
-        vals[j] = _s_values(U, s, x, k)[0] - 0.5
-    spectrum = np.fft.fft(vals) / npts
-    return (spectrum[: N + 1] / rho ** np.arange(N + 1)).real
+    ap, am, bp, _ = _series_coeffs(pot, x, pot.period_start(x), N + 2)
+    Y = 0.5 * (ap + am)
+    W = np.convolve(Y, Y)[2:N + 3]
+    root = np.zeros(N + 1)  # sqrt(W), term by term
+    root[0] = np.sqrt(W[0])
+    for n in range(1, N + 1):
+        root[n] = (W[n] - np.dot(root[1:n], root[n - 1:0:-1])) / (2.0 * root[0])
+    num = 2.0 * bp[1:N + 2]
+    den = (ap - am + 2.0 * bp)[1:N + 2] - 2.0 * root
+    a = np.zeros(N + 1)  # num / den, term by term
+    for n in range(N + 1):
+        a[n] = (num[n] - np.dot(a[:n], den[n:0:-1])) / den[0]
+    a[0] -= 0.5
+    return a
 
 
 def _own_cell_constants(pot, cc: CellConstants | None) -> CellConstants:
@@ -325,21 +324,22 @@ def _own_cell_constants(pot, cc: CellConstants | None) -> CellConstants:
     return own
 
 
-# largest disagreement of the contour route with the closed forms at orders 0-2
-CONTOUR_TOL = 1e-7
+# largest disagreement of the series route with the closed forms at orders 0-2
+OVERLAP_TOL = 1e-7
 
 
 def expansion_coeffs(pot, x: float, N: int, cc: CellConstants | None = None):
-    """Coefficient arrays (a_0..a_N, s_0..s_N) of the half-line S expansion.
+    """Coefficient arrays (a_0..a_N, s_0..s_N), 0 <= N <= MAX_RBAR_ORDER,
+    of the half-line S expansion.
 
-    Orders up to 2 come from the bracket-integral closed forms.  Higher
-    orders are Taylor coefficients of S_r - 1/2 extracted by contour
-    quadrature; the overlap with the closed forms is checked so a bad
-    contour or branch cannot pass silently.  Odd s entries are zero.
-    `cc`, if given, must be `cell_constants(pot)`.
+    Orders up to 2 come from the bracket-integral closed forms, higher ones
+    from the bracket series of the one-period matrix (`_taylor_coeffs_a`),
+    whose overlap with the closed forms is checked, so a non-finite or
+    unsound series cannot pass silently.  Odd s entries are zero.  `cc`,
+    if given, must be `cell_constants(pot)`.
     """
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    if not 0 <= N <= MAX_RBAR_ORDER:
+        raise ValueError(f"N must be in 0..{MAX_RBAR_ORDER}, got {N}")
     cc = _own_cell_constants(pot, cc)
     L = pot.period
     a = np.zeros(N + 1)
@@ -354,13 +354,13 @@ def expansion_coeffs(pot, x: float, N: int, cc: CellConstants | None = None):
         a[2] = 0.5 * (pref / cc.L0 * (math.exp(-cc.V0) * pmp
                                       - (cc.L0 ** 4 / 4.0 + cell_Q(pot)) / (2.0 * cc.L0)))
     if N >= 3:
-        a_taylor = _taylor_coeffs_a(pot, x, N)
-        mismatch = float(np.abs(a_taylor[: 3] - a[: 3]).max())
-        if mismatch > CONTOUR_TOL:
+        a_series = _taylor_coeffs_a(pot, x, N)
+        mismatch = float(np.abs(a_series[: 3] - a[: 3]).max())
+        if not (mismatch <= OVERLAP_TOL and np.all(np.isfinite(a_series))):
             raise ExtrapolationError(
-                f"contour route disagrees with closed forms by {mismatch:.2e} "
-                f"at x = {x}; contour radius or branch is unsound here")
-        a[3:] = a_taylor[3:]
+                f"series route disagrees with closed forms by {mismatch:.2e} "
+                f"at x = {x}, or is not finite there")
+        a[3:] = a_series[3:]
     s = np.zeros(N + 1)
     s[0::2] = 2.0 * a[0::2]
     return a, s

@@ -7,6 +7,7 @@ boundary translate, where the rounded lower end x - L of the window can
 fall on either side of the translate one period down.
 """
 
+import math
 import pickle
 
 import numpy as np
@@ -137,3 +138,41 @@ def test_boundary_translates_located_like_the_cell(name):
                 assert np.abs(got - want).max() <= 1e-9, (x, got, want)
             g = green_exact(pot, x + 0.37, x, 1.3).G_F
             assert abs(g - g0) <= 1e-12 * abs(g0), (x, g, g0)
+
+
+def _scan(pot, p0, a, b):
+    """The translates p0 + j*L with a < p <= b, by trying every j near the
+    window in the same arithmetic."""
+    L = pot.period
+    js = range(math.floor((a - p0) / L) - 2, math.ceil((b - p0) / L) + 3)
+    return [p0 + j * L for j in js if a < p0 + j * L <= b]
+
+
+@pytest.mark.parametrize("name", [SQUARE, OFFSET_V4, LONG_CELL])
+def test_translates_match_a_brute_force_scan(name):
+    # boundaries_in and breakpoints against the definition: every boundary
+    # translate in (a, b], and breakpoints as the merged set of the ends and
+    # the interior translates
+    pot = load_potential(name)
+    L = pot.period
+    rng = np.random.default_rng(17)
+    windows = []
+    for _ in range(1500):
+        a = float(rng.uniform(-50.0, 50.0)) * L
+        windows.append((a, a + float(rng.uniform(0.0, 5.0)) * L))
+    for _ in range(1500):
+        # ends on translates, one or both
+        p, q = (pot._origins[i] + int(j) * L
+                for i, j in zip(rng.integers(len(pot._origins), size=2),
+                                rng.integers(-60, 60, size=2)))
+        lo, hi = min(p, q), max(p, q)
+        windows += [(lo, hi), (lo, hi + float(rng.uniform(0.0, 1.0)) * L),
+                    (lo - float(rng.uniform(0.0, 1.0)) * L, hi)]
+    merge = 1e-13 * max(1.0, L)
+    for a, b in windows:
+        want = sorted((p, float(delta)) for p0, delta in zip(pot._origins, pot._jumps)
+                      for p in _scan(pot, p0, a, b))
+        assert pot.boundaries_in(a, b) == want, (a, b)
+        pts = sorted({a, b} | {p for p, _ in want if p < b})
+        kept = pts[:1] + [q for p, q in zip(pts, pts[1:]) if q - p > merge]
+        assert pot.breakpoints(a, b).tolist() == (kept if len(kept) > 1 else [a, b]), (a, b)

@@ -301,20 +301,32 @@ def test_series_truncation_order_slopes(request, cell, x, y):
 
 
 def test_series_order3_contour_mismatch_raises(pot_square, cc_square, monkeypatch):
-    # s_4 comes from a contour whose overlap with the closed forms is checked
+    # s_4 comes from a route whose overlap with the closed forms is checked;
+    # a NaN there must raise too, not come back as a NaN g_3
     from bloch_green import wop
     good = wop._taylor_coeffs_a
+    for skew in (1e-5, math.nan):
+        def skewed(*args, **kwargs):
+            a = good(*args, **kwargs)
+            a[1] += skew
+            return a
 
-    def skewed(*args, **kwargs):
-        a = good(*args, **kwargs)
-        a[1] += 1e-5
-        return a
+        monkeypatch.setattr(wop, "_taylor_coeffs_a", skewed)
+        with pytest.raises(wop.ExtrapolationError):
+            green_series(pot_square, 0.4, 0.1, cc=cc_square)
+        gs = green_series(pot_square, 0.4, 0.1, cc=cc_square, order=2)
+        assert gs.g_3 == 0.0
 
-    monkeypatch.setattr(wop, "_taylor_coeffs_a", skewed)
-    with pytest.raises(wop.ExtrapolationError):
-        green_series(pot_square, 0.4, 0.1, cc=cc_square)
-    gs = green_series(pot_square, 0.4, 0.1, cc=cc_square, order=2)
-    assert gs.g_3 == 0.0
+
+@pytest.mark.parametrize("V", [10, 15, 20])
+def test_series_default_order_on_strong_half_cells(V):
+    # the order-3 coefficients come from exact const-piece brackets, so a
+    # strong half cell keeps a finite g_3
+    from bloch_green.potential import load_potential
+    pot = load_potential(f"period=1; const V=0 len=0.5; const V={V} len=0.5")
+    gs = green_series(pot, 0.4, 0.1)
+    assert all(math.isfinite(g) for g in (gs.g_m1, gs.g_0, gs.g_1, gs.g_2, gs.g_3))
+    assert gs.g_3 != 0.0
 
 
 def test_series_leading_coefficients_closed_form(pot_square, cc_square):

@@ -84,11 +84,12 @@ def test_green_series_against_contour_taylor(pot_cosine):
     zeta = rho * np.exp(1j * theta)
     vals = np.array([z * g_disk(-1j * z) for z in zeta])
     spectrum = np.fft.fft(vals) / npts
-    coeffs = (spectrum[:4] / rho ** np.arange(4)).real
+    coeffs = (spectrum[:5] / rho ** np.arange(5)).real
     assert coeffs[0] == pytest.approx(gs.g_m1, abs=1e-10)
     assert coeffs[1] == pytest.approx(gs.g_0, abs=1e-10)
     assert coeffs[2] == pytest.approx(gs.g_1, abs=1e-9)
     assert coeffs[3] == pytest.approx(gs.g_2, abs=1e-9)
+    assert coeffs[4] == pytest.approx(gs.g_3, abs=1e-9)
 
 
 def test_drift_and_schrodinger_potential_consistency(pot_cosine):

@@ -205,7 +205,7 @@ def test_const_walk_matches_whole_window_reference():
 def test_alternating_tails_match_whole_window_reference(pot_square):
     for (a, b), first in itertools.product(((0.1, 1.3), (-0.7, 2.2)), (1, -1)):
         signs = [first * (-1) ** m for m in range(12)]
-        got = alternating_tail_values(pot_square, a, b, first, 12, 30)
+        got = alternating_tail_values(pot_square, a, b, first, 12)
         want = ref.nested_pass(pot_square, signs, a, b, 30)
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
@@ -260,7 +260,7 @@ def test_const_windows_make_no_spectral_pass(monkeypatch):
         green_series(pot, 2.9, 0.2)
         for (a, b), w in itertools.product(WINDOWS, WORDS_4):
             bracket(pot, w, a, b)
-        alternating_tail_values(pot, 0.1, 1.3, 1, 12, 30)
+        alternating_tail_values(pot, 0.1, 1.3, 1, 12)
     assert not calls
     bracket(load_potential(SMOOTH_CELLS[0]), "+-", 0.1, 1.7)
     assert calls  # a smooth run still takes the spectral pass

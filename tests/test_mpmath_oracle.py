@@ -113,3 +113,44 @@ def test_green_matches_40_digit_factor_product(name):
             checked += 1
     assert checked >= 590
     assert worst <= 1e-10, worst
+
+
+HALF_CELL_LEVELS = (1, 5, 10, 20)
+
+
+def _contour_a(cell, x, L0, N, npts=64):
+    """a_0 .. a_N of S_r(x, k) - 1/2 in powers of ik, by trapezoid quadrature
+    on the circle |ik| = 0.2 / L0 of S_r from the one-period factor product,
+    with the branch Z ~ k L0."""
+    rho = mpmath.mpf("0.2") / L0
+    acc = [mpmath.mpc(0)] * (N + 1)
+    for j in range(npts):
+        zeta = rho * mpmath.expjpi(mpmath.mpf(2 * j) / npts)
+        k = -1j * zeta
+        M = cell.U(x, x - cell.L, k)
+        ap, bm, bp, am = M[0][0], M[0][1], M[1][0], M[1][1]
+        Y = (ap + am) / 2
+        Z = mpmath.sqrt((1 - Y) * (1 + Y))
+        if mpmath.re(Z / (k * L0)) < 0:
+            Z = -Z
+        val = 2 * bp / (ap - am + 2 * bp - 2j * Z) - mpmath.mpf(1) / 2
+        for n in range(N + 1):
+            acc[n] += val / zeta ** n
+    return [float(mpmath.re(v)) / npts for v in acc]
+
+
+@pytest.mark.parametrize("V", HALF_CELL_LEVELS)
+def test_expansion_coeffs_match_50_digit_contour(V):
+    # the bracket series of the one-period matrix behind a_3 and a_4 stays
+    # exact on half cells with a strong level, where a double-precision
+    # contour loses its overlap with the closed forms
+    from bloch_green.wop import _taylor_coeffs_a
+    pot = load_potential(f"period=1; const V=0 len=0.5; const V={V} len=0.5")
+    with mpmath.workdps(50):
+        cell = ConstCell(1, 0, [(0, "0.5"), (V, "0.5")])
+        L0 = mpmath.sqrt((1 + mpmath.exp(V)) * (1 + mpmath.exp(-V))) / 2
+        for x in (0.13, 0.41, 0.77):
+            want = _contour_a(cell, mpmath.mpf(repr(x)), L0, 4)
+            got = _taylor_coeffs_a(pot, x, 4)
+            for n in range(5):
+                assert got[n] == pytest.approx(want[n], rel=1e-11, abs=0.0), (V, x, n)

@@ -151,7 +151,29 @@ def test_series_first_order_coefficient(pot_square):
 
 def test_series_diverges_gracefully(pot_square):
     with pytest.raises(SeriesDivergenceError, match="evolve"):
-        series_evolution(pot_square, 40.0, 0.0, 30.0, max_terms=16)
+        series_evolution(pot_square, 40.0, 0.0, 30.0)
+
+
+@pytest.mark.parametrize("args", [(1.0, 0.0, math.nan), (math.inf, 0.0, 0.3),
+                                  (1.0, math.nan, 0.3), (1.0, 0.0, complex(0.2, math.inf))])
+def test_series_rejects_non_finite_input(pot_square, args):
+    with pytest.raises(ValueError, match="finite"):
+        series_evolution(pot_square, *args)
+
+
+def test_series_makes_one_nested_pass_per_tail(pot_square, monkeypatch):
+    # both tails over a const window are exact: no order ladder
+    from bloch_green import iterint
+    calls = []
+    real = iterint._nested_pass
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(iterint, "_nested_pass", counting)
+    series_evolution(pot_square, 1.3, 0.2, 0.3)
+    assert len(calls) == 2
 
 
 # -- scattering --------------------------------------------------------------

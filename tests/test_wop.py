@@ -8,7 +8,7 @@ from bloch_green.halfline import reflect_halfline
 from bloch_green.iterint import bracket
 from bloch_green.wop import (DomainError, WGridFunction, WopGrid, expansion_coeffs,
                              op_A, op_A_inv, op_B, rbar_closed, rbar_numeric)
-from wop_reference import k_op, limit_profile
+from wop_reference import contour_coeffs_a, k_op, limit_profile
 
 A, B, C = 0.6, 0.4, 1.0
 
@@ -198,7 +198,7 @@ def test_expansion_limit_reproduces_closed_orders(pot_square, cc_square):
 
 def test_contour_route_on_smooth_potential(pot_cosine, cc_cosine):
     # the contour extraction is not specific to piecewise-constant cells
-    t = wop._taylor_coeffs_a(pot_cosine, 0.7, 3)
+    t = contour_coeffs_a(pot_cosine, 0.7, 3)
     a, _ = expansion_coeffs(pot_cosine, 0.7, 2, cc=cc_cosine)
     assert np.abs(t[:3] - a).max() < 1e-8
 
@@ -208,8 +208,8 @@ def test_expansion_coeffs_higher_orders_contour_stable(pot_square, cc_square):
     # independent contour radii, and against the closed overlap orders
     x = 0.4
     a1, s1 = expansion_coeffs(pot_square, x, 4, cc=cc_square)
-    t1 = wop._taylor_coeffs_a(pot_square, x, 4, rho=0.25)
-    t2 = wop._taylor_coeffs_a(pot_square, x, 4, rho=0.5, npts=96)
+    t1 = contour_coeffs_a(pot_square, x, 4, rho=0.25)
+    t2 = contour_coeffs_a(pot_square, x, 4, rho=0.5, npts=96)
     assert np.all(np.isfinite(a1))
     assert s1[3] == 0.0
     assert s1[4] == pytest.approx(2 * a1[4], abs=1e-15)
@@ -217,6 +217,12 @@ def test_expansion_coeffs_higher_orders_contour_stable(pot_square, cc_square):
     for n in (3, 4):
         assert t1[n] == pytest.approx(t2[n], rel=1e-8, abs=1e-11)
         assert a1[n] == pytest.approx(t1[n], rel=1e-8, abs=1e-11)
+
+
+@pytest.mark.parametrize("N", [-1, 5, 70])
+def test_expansion_coeffs_rejects_orders_out_of_range(pot_square, N):
+    with pytest.raises(ValueError, match="N must be in"):
+        expansion_coeffs(pot_square, 0.3, N)
 
 
 def test_truncation_order_slopes(pot_square):

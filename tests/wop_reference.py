@@ -1,8 +1,9 @@
-"""Reference operators for the W-grid engine tests: the W-only factor
-operator of the expansion algebra, and the W -> -infinity limit extraction
-run on numeric coefficient profiles.  The package computes expansion
-coefficients by closed forms and the contour route; the tests use these to
-check the grid operators and the numeric profiles against them.
+"""Reference routes for the expansion tests: the W-only factor operator of
+the expansion algebra, the W -> -infinity limit extraction run on numeric
+coefficient profiles, and the contour route to the Taylor coefficients of
+S_r.  The package computes expansion coefficients by closed forms and the
+bracket series of the one-period matrix; the tests use these to check the
+grid operators, the numeric profiles and the series against them.
 """
 
 import math
@@ -10,6 +11,9 @@ import math
 import numpy as np
 from numpy.polynomial import chebyshev as _np_cheb
 
+from bloch_green.halfline import _s_values
+from bloch_green.potential import cell_constants
+from bloch_green.transfer import evolve
 from bloch_green.wop import ExtrapolationError, WGridFunction, WopGrid
 
 
@@ -65,3 +69,30 @@ def limit_profile(grid: WopGrid, rb: WGridFunction, x: float, vx: float,
             "the weighted limit would diverge")
     dp_end = float(_np_cheb.chebval(-1.0, _np_cheb.chebder(coeffs)))
     return 2.0 * math.exp(vx - grid.w_center) * dp_end
+
+
+def contour_coeffs_a(pot, x: float, N: int, rho: float | None = None,
+                     npts: int = 64) -> np.ndarray:
+    """Taylor coefficients of S_r(x, k) - 1/2 in powers of ik.
+
+    The half-line quantities are analytic in a disk around k = 0 (the
+    nearest singularities are the band edges), so the coefficients follow
+    from trapezoid quadrature on a circle in the ik plane.  The multiplier
+    branch inside the disk is fixed by continuity with Z ~ k L0.
+    """
+    L0 = cell_constants(pot).L0
+    if rho is None:
+        rho = 0.4 / L0
+    theta = 2.0 * np.pi * np.arange(npts) / npts
+    zeta = rho * np.exp(1j * theta)
+    vals = np.empty(npts, dtype=complex)
+    for j, z in enumerate(zeta):
+        k = -1j * z
+        U = evolve(pot, x, pot.period_start(x), k)
+        Y = 0.5 * (U.alpha_plus + U.alpha_minus)
+        s = np.sqrt((1.0 - Y) * (1.0 + Y) + 0j)
+        if (s / (k * L0)).real < 0.0:
+            s = -s
+        vals[j] = _s_values(U, s, x, k)[0] - 0.5
+    spectrum = np.fft.fft(vals) / npts
+    return (spectrum[: N + 1] / rho ** np.arange(N + 1)).real
