@@ -18,8 +18,7 @@ from .transfer import (BandClass, EvolutionMatrix, GeneralizedScattering,
                        Monodromy, ScatteringCoeffs, SeriesDivergenceError,
                        SingularIntervalError, branch_Z, classify_band, evolve,
                        generalize, monodromy, scattering, series_evolution)
-from .wop import (ExpansionSeries, WGridFunction, WopGrid, expansion_coeffs,
-                  op_A, op_A_inv, op_B, rbar_closed, rbar_numeric)
+from .wop import expansion_coeffs
 
 __all__ = [
     "__version__",
@@ -33,8 +32,7 @@ __all__ = [
     "classify_band", "branch_Z",
     "HalflineState", "halfline_state", "reflect_halfline", "s_functions",
     "m_functions",
-    "WopGrid", "WGridFunction", "ExpansionSeries",
-    "op_B", "op_A", "op_A_inv", "rbar_numeric", "rbar_closed", "expansion_coeffs",
+    "expansion_coeffs",
     "GreenValue", "GreenSeries", "SquareWellParams",
     "green_exact", "green_series", "square_well_oracle",
 ]

@@ -1,11 +1,9 @@
-"""Chebyshev-Lobatto machinery shared by the quadrature and operator grids.
+"""Chebyshev-Lobatto machinery of the bracket quadrature.
 
-All piecewise-smooth functions in this package live on panel meshes whose
-breakpoints are aligned with the potential's segment boundaries, with
-Chebyshev-Lobatto nodes inside each panel.  Cumulative integrals,
-derivatives and point evaluation are then spectrally accurate, which is
-what keeps the operator chains and the nested bracket integrals near
-machine precision.
+The nested bracket integrals live on panel meshes whose breakpoints are
+aligned with the potential's segment boundaries, with Chebyshev-Lobatto
+nodes inside each panel.  One cumulative antiderivative per letter is then
+spectrally accurate, which keeps the brackets near machine precision.
 """
 
 from __future__ import annotations
@@ -15,14 +13,7 @@ import functools
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-__all__ = [
-    "lobatto_nodes",
-    "vals_to_coeffs",
-    "coeffs_to_vals",
-    "cheb_definite_integral_weights",
-    "cumulative_integral",
-    "PanelMesh",
-]
+__all__ = ["lobatto_nodes", "cumulative_integral", "PanelMesh"]
 
 
 def lobatto_nodes(order: int) -> np.ndarray:
@@ -32,7 +23,7 @@ def lobatto_nodes(order: int) -> np.ndarray:
     return -np.cos(np.pi * np.arange(order + 1) / order)
 
 
-# values<->coefficients and cumulative-integral matrices, cached per order
+# values->coefficients and cumulative-integral matrices, cached per order
 
 @functools.cache
 def _v2c_matrix(n: int) -> np.ndarray:
@@ -46,11 +37,6 @@ def _v2c_matrix(n: int) -> np.ndarray:
     mat[0] *= 0.5
     mat[-1] *= 0.5
     return mat
-
-
-@functools.cache
-def _c2v_matrix(n: int) -> np.ndarray:
-    return np.cos(np.outer(np.arccos(lobatto_nodes(n)), np.arange(n + 1)))
 
 
 @functools.cache
@@ -76,29 +62,6 @@ def cumulative_integral(values: np.ndarray, half: np.ndarray) -> np.ndarray:
     return vals + offsets[:, None]
 
 
-def vals_to_coeffs(values: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Chebyshev coefficients of the interpolant through Lobatto-node values."""
-    values = np.asarray(values)
-    n = values.shape[axis] - 1
-    return np.moveaxis(np.tensordot(_v2c_matrix(n), np.moveaxis(values, axis, 0), 1), 0, axis)
-
-
-def coeffs_to_vals(coeffs: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Values at ascending Lobatto nodes from Chebyshev coefficients."""
-    coeffs = np.asarray(coeffs)
-    n = coeffs.shape[axis] - 1
-    return np.moveaxis(np.tensordot(_c2v_matrix(n), np.moveaxis(coeffs, axis, 0), 1), 0, axis)
-
-
-def cheb_definite_integral_weights(n: int) -> np.ndarray:
-    """Weights w with integral_{-1}^{1} sum c_k T_k = w . c."""
-    k = np.arange(n + 1)
-    w = np.zeros(n + 1)
-    even = k % 2 == 0
-    w[even] = 2.0 / (1.0 - k[even] ** 2)
-    return w
-
-
 class PanelMesh:
     """A sorted set of panels [breaks[i], breaks[i+1]] with per-panel Lobatto nodes."""
 
@@ -117,7 +80,3 @@ class PanelMesh:
         # nodes[i, j]: physical node j of panel i
         self.nodes = self.mid[:, None] + self.half[:, None] * ref[None, :]
 
-    def panel_of(self, x: np.ndarray) -> np.ndarray:
-        """Panel index per point; interior breakpoints belong to the right panel."""
-        idx = np.searchsorted(self.breaks, x, side="right") - 1
-        return np.clip(idx, 0, self.npanels - 1)

@@ -20,7 +20,7 @@ from . import __version__
 from .green import MAX_SERIES_ORDER, green_exact, green_series
 from .potential import ParseError, PotentialError, QuadratureError, load_potential_file
 from .transfer import SeriesDivergenceError, SingularIntervalError, monodromy
-from .wop import DomainError, ExtrapolationError, GridResolutionError, expansion_coeffs
+from .wop import ExtrapolationError, expansion_coeffs
 
 COMMANDS = ("bands", "green", "expand", "compare", "selftest")
 
@@ -30,8 +30,7 @@ EXIT_NUMERIC = 3
 EXIT_SELFTEST = 4
 
 _NUMERIC_ERRORS = (QuadratureError, SingularIntervalError, SeriesDivergenceError,
-                   DomainError, GridResolutionError, ExtrapolationError,
-                   ArithmeticError)
+                   ExtrapolationError, ArithmeticError)
 
 
 @dataclass

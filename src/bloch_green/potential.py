@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._spectral import PanelMesh
-
 __all__ = [
     "PotentialError",
     "ParseError",
@@ -372,33 +370,22 @@ class PeriodicPotential:
         kept = pts[:1] + [q for p, q in zip(pts, pts[1:]) if q - p > tol]
         return np.array(kept if len(kept) > 1 else [a, b])
 
-    def mesh(self, a: float, b: float, order: int, max_panel: float | None = None) -> PanelMesh:
-        breaks = self.breakpoints(a, b)
-        if max_panel is not None:
-            refined = [breaks[0]]
-            for lo, hi in zip(breaks[:-1], breaks[1:]):
-                nsub = max(1, int(math.ceil((hi - lo) / max_panel)))
-                refined.extend(lo + (hi - lo) * (j + 1) / nsub for j in range(nsub))
-            breaks = np.array(refined)
-        return PanelMesh(breaks, order)
-
     def segment_at(self, x: float):
         """(segment, absolute start) of the segment owning x."""
         i, start = self._locate(float(x))
         return self.segments[i], start
 
-    def V_on_mesh(self, mesh, derivative: int = 0) -> np.ndarray:
-        """V (or its derivative) at mesh nodes, one-sided per panel.
+    def V_on_mesh(self, mesh) -> np.ndarray:
+        """V at mesh nodes, one-sided per panel.
 
         Panels are segment-aligned, so each panel is evaluated from the
         segment owning its interior; a node sitting exactly on a jump takes
         the limit from inside the panel rather than the right limit.
         """
         out = np.empty_like(mesh.nodes)
-        which = {0: "value", 1: "slope", 2: "curvature"}[derivative]
         for i in range(mesh.npanels):
             seg, seg_start = self.segment_at(mesh.mid[i])
-            out[i] = getattr(seg, which)(mesh.nodes[i] - seg_start)
+            out[i] = seg.value(mesh.nodes[i] - seg_start)
         return out
 
 

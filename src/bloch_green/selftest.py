@@ -1,9 +1,9 @@
 """Built-in invariant battery behind the CLI selftest command.
 
 A fast, deterministic miniature of the full test suite: propagation
-identities, cell constants, operator identities, expansion cross-checks,
-the square-cell oracle and the low-energy series.  Each check prints one
-PASS/FAIL line.
+identities, cell constants, the two routes to the expansion coefficients
+and their orders 3 and 4, the square-cell oracle and the low-energy
+series.  Each check prints one PASS/FAIL line.
 """
 
 from __future__ import annotations
@@ -72,25 +72,26 @@ def _checks():
             worst = max(worst, abs(monodromy(pot, k).Y - p.discriminant(k)))
         return worst, 1e-10
 
-    def operator_identities():
-        grid = wop.WopGrid(pot)
-        xs = grid.mesh.nodes[:, :, None]
-        w = grid.w_nodes[None, None, :]
-        vals = (np.sin(2 * np.pi * xs) + 0.5 * np.cos(4 * np.pi * xs)) * np.cos(0.4 * (w - cc.V0))
-        g = wop.WGridFunction(grid, vals)
-        h = wop.op_A_inv(pot, g)
-        resid = float(np.abs(wop.op_A(h).values - g.values).max())
-        resid = max(resid, wop.op_B(pot, h).cell_mean_residual())
-        return resid, 1e-8
-
-    def expansion_closed_forms():
-        series = wop.rbar_numeric(pot, 2)
+    def expansion_overlap():
+        # bracket series of the one-period matrix against the closed forms
         worst = 0.0
-        for x in (0.25, 0.7):
-            for w in (cc.V0 - 1.0, cc.V0 + 0.8):
-                worst = max(worst, abs(series.rbar[2].eval(x, w)
-                                       - wop.rbar_closed(pot, x, w, 2)))
-        return worst, 1e-6
+        for p in (pot, cosv):
+            for x in (0.25, 0.7):
+                closed, _ = wop.expansion_coeffs(p, x, 2)
+                worst = max(worst, float(np.abs(wop._taylor_coeffs_a(p, x, 4)[:3]
+                                                - closed).max()))
+        return worst, 1e-12
+
+    def expansion_high_orders():
+        # a_3, a_4 of the square cell from a 50-digit contour of the exact
+        # factor product (tests/test_mpmath_oracle.py)
+        want = {0.25: (0.0014747887358114759, 0.002392270829022862),
+                0.7: (-0.02095288193195951, -0.005874134161987744)}
+        worst = 0.0
+        for x, ref in want.items():
+            a, _ = wop.expansion_coeffs(pot, x, 4)
+            worst = max(worst, max(abs(a[3 + i] - r) / abs(r) for i, r in enumerate(ref)))
+        return worst, 1e-11
 
     def oracle_match():
         p = SquareWellParams(C=1.0, L=1.0, a=0.6)
@@ -121,8 +122,8 @@ def _checks():
         ("const-brackets", const_brackets),
         ("series-vs-ode", series_route),
         ("discriminant", discriminant),
-        ("operator-identities", operator_identities),
-        ("expansion-closed-forms", expansion_closed_forms),
+        ("expansion-overlap", expansion_overlap),
+        ("expansion-orders-3-4", expansion_high_orders),
         ("green-oracle", oracle_match),
         ("green-series", lambda: series_match(2, 1e-6)),
         ("green-series-order3", lambda: series_match(3, 1e-9)),

@@ -13,12 +13,13 @@ import numpy as np
 from bloch_green._spectral import cumulative_integral
 from bloch_green.iterint import _ORDERS, BRACKET_TOL, SignWord
 from bloch_green.potential import QuadratureError
+from wop_engine import mesh as panel_mesh
 
 
 def nested_pass(pot, signs, a, b, order) -> np.ndarray:
     """End values of the nested integrals J_1 .. J_n of the word `signs` over
     [a, b], one antiderivative pass per letter on one panel mesh."""
-    mesh = pot.mesh(a, b, order, max_panel=pot.period)
+    mesh = panel_mesh(pot, a, b, order, max_panel=pot.period)
     v = pot.V_on_mesh(mesh)
     weights = {s: np.exp(s * v) for s in set(signs)}
     out = np.empty(len(signs))

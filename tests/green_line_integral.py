@@ -12,6 +12,7 @@ import cmath
 import numpy as np
 
 from bloch_green.transfer import MAGNUS_RTOL, _jump_matrix, _ode_piece
+from wop_engine import mesh
 
 
 def gauss_rule(mesh, order: int):
@@ -106,7 +107,7 @@ def _green_by_line_integral(pot, x: float, y: float, kc: complex, Z: complex,
     edges; the primary route does not have this caveat.
     """
     if x > y:
-        nodes, weights = gauss_rule(pot.mesh(y, x, quad_order, pot.period / 2.0), quad_order)
+        nodes, weights = gauss_rule(mesh(pot, y, x, quad_order, pot.period / 2.0), quad_order)
         pts = np.concatenate([nodes, [x, y]])
     else:
         weights = np.zeros(0)

@@ -12,13 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from bloch_green import wop
 from bloch_green.cli import EXIT_OK, RunConfig, run
 from bloch_green.green import (SquareWellParams, green_exact, green_series,
                                square_well_oracle)
 from bloch_green.halfline import m_functions, reflect_halfline, s_functions
 from bloch_green.potential import cell_constants, load_potential, square_potential
 from bloch_green.transfer import evolve, monodromy, series_evolution
+
+import wop_engine as wop
 
 A, B, C = 0.6, 0.4, 1.0
 A_HYP = -math.tanh(C / 2)

@@ -245,6 +245,19 @@ def test_expand_on_strong_cell_stays_finite(tmp_path):
         assert all(math.isfinite(float(v)) for v in r), r
 
 
+def test_expand_overflow_names_the_quantity(tmp_path, capsys):
+    # at V = 700 the cell scale L0 ~ 5e151, so L0**4 leaves the float range
+    pot = tmp_path / "strong700.pot"
+    pot.write_text("period=1; const V=0 len=0.5; const V=700 len=0.5\n")
+    out = tmp_path / "expand700.csv"
+    cfg = RunConfig(command="expand", potential_path=str(pot), k_count=4, out=str(out))
+    assert run(cfg) == EXIT_NUMERIC
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "numeric failure in expand: OverflowError: L0**4" in err, err
+    assert "L0 = 5.03545e+151" in err, err
+
+
 def test_expand_on_steep_cosine_converges_or_fails_loud(tmp_path):
     # amplitudes 3 and 8 converge on panels set by the range of V; at
     # amplitude 800 e^V overflows, and the run says so

@@ -226,8 +226,9 @@ def int_s2(pot, a, b):
     """int_a^b s_2 by Gauss quadrature of its closed form, 32 points per
     panel on panels of at most L/8."""
     from green_line_integral import gauss_rule
+    from wop_engine import mesh
     from bloch_green.wop import expansion_coeffs
-    nodes, weights = gauss_rule(pot.mesh(a, b, 32, max_panel=pot.period / 8.0), 32)
+    nodes, weights = gauss_rule(mesh(pot, a, b, 32, max_panel=pot.period / 8.0), 32)
     return float(np.dot(weights, [expansion_coeffs(pot, z, 2)[1][2] for z in nodes]))
 
 

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from numpy.polynomial import chebyshev
 
 from bloch_green import iterint
-from bloch_green._spectral import PanelMesh, cumulative_integral, lobatto_nodes, vals_to_coeffs
+from bloch_green._spectral import PanelMesh, cumulative_integral, lobatto_nodes
 from bloch_green.cli import EXIT_OK, RunConfig, run
 from bloch_green.green import green_series
 from bloch_green.iterint import SignWord, alternating_tail_values, bracket, cell_Q, insertions
 from bloch_green.potential import cell_constants, load_potential
 from bloch_green.wop import expansion_coeffs
+from wop_engine import vals_to_coeffs
 
 A, B, C = 0.6, 0.4, 1.0
 

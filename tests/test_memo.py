@@ -12,7 +12,8 @@ import pytest
 
 import bloch_green
 from bloch_green import (bracket, cell_constants, cell_Q, expansion_coeffs,
-                         green_series, load_potential, rbar_closed)
+                         green_series, load_potential)
+from wop_engine import rbar_closed
 
 SQUARE_SPEC = "period=1; const V=0 len=0.6; const V=1 len=0.4"
 COSINE_SPEC = "period=2; cosine amp=0.3 len=2"

@@ -154,3 +154,23 @@ def test_expansion_coeffs_match_50_digit_contour(V):
             got = _taylor_coeffs_a(pot, x, 4)
             for n in range(5):
                 assert got[n] == pytest.approx(want[n], rel=1e-11, abs=0.0), (V, x, n)
+
+
+@pytest.mark.parametrize("V", (15, 20))
+def test_expansion_coeffs_on_strong_half_cells_past_the_absolute_overlap(V):
+    # |a_2| is 3e7 to 2e11 at these points, so the closed forms and the
+    # bracket series differ by 3e-7 to 3e-2 in absolute terms while both
+    # agree to 2e-13 relative; the overlap check is relative
+    from bloch_green.green import green_series
+    from bloch_green.wop import expansion_coeffs
+    pot = load_potential(f"period=1; const V=0 len=0.5; const V={V} len=0.5")
+    with mpmath.workdps(50):
+        cell = ConstCell(1, 0, [(0, "0.5"), (V, "0.5")])
+        L0 = mpmath.sqrt((1 + mpmath.exp(V)) * (1 + mpmath.exp(-V))) / 2
+        for x in (0.6, 0.77, 0.9):
+            want = _contour_a(cell, mpmath.mpf(repr(x)), L0, 4)
+            got, _ = expansion_coeffs(pot, x, 4)
+            for n in range(5):
+                assert got[n] == pytest.approx(want[n], rel=1e-11, abs=0.0), (V, x, n)
+            gs = green_series(pot, x, 0.1, order=3)
+            assert all(np.isfinite((gs.g_m1, gs.g_0, gs.g_1, gs.g_2, gs.g_3))), (V, x)

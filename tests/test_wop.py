@@ -6,8 +6,9 @@ import pytest
 from bloch_green import wop
 from bloch_green.halfline import reflect_halfline
 from bloch_green.iterint import bracket
-from bloch_green.wop import (DomainError, WGridFunction, WopGrid, expansion_coeffs,
-                             op_A, op_A_inv, op_B, rbar_closed, rbar_numeric)
+from bloch_green.wop import expansion_coeffs
+from wop_engine import (DomainError, GridResolutionError, WGridFunction, WopGrid, op_A,
+                        op_A_inv, op_B, rbar_closed, rbar_numeric, slope_on_mesh)
 from wop_reference import contour_coeffs_a, k_op, limit_profile
 
 A, B, C = 0.6, 0.4, 1.0
@@ -74,7 +75,7 @@ def test_B_on_seed_function(grid_square, pot_square, cc_square):
 
 def test_A_inv_of_drift_source(grid_cosine, pot_cosine, cc_cosine):
     # smooth potential: (1 - xi^2) f maps to xi - tanh((W - V0)/2)
-    f = -0.5 * pot_cosine.V_on_mesh(grid_cosine.mesh, derivative=1)
+    f = -0.5 * slope_on_mesh(pot_cosine, grid_cosine.mesh)
     xi = np.tanh(0.5 * (grid_cosine.w_nodes[None, None, :]
                         - grid_cosine.v_nodes[:, :, None]))
     g = WGridFunction(grid_cosine, (1.0 - xi ** 2) * f[:, :, None])
@@ -299,5 +300,5 @@ def test_grid_w_resolution_guard(pot_square, cc_square):
     grid = WopGrid(pot_square, w_order=7, w_span=6.0)
     seed = grid.sample(lambda v, w: np.tanh(0.5 * (w - v))
                        - np.tanh(0.5 * (w - cc_square.V0)))
-    with pytest.raises(wop.GridResolutionError):
+    with pytest.raises(GridResolutionError):
         op_B(pot_square, seed)

@@ -14,7 +14,8 @@ from numpy.polynomial import chebyshev as _np_cheb
 from bloch_green.halfline import _s_values
 from bloch_green.potential import cell_constants
 from bloch_green.transfer import evolve
-from bloch_green.wop import ExtrapolationError, WGridFunction, WopGrid
+from bloch_green.wop import ExtrapolationError
+from wop_engine import WGridFunction, WopGrid
 
 
 def k_op(grid: WopGrid, sigma: int, sigma_prime: int, values: np.ndarray) -> np.ndarray:
