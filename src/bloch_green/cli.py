@@ -180,12 +180,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "of 1D periodic drift/Schrodinger operators.")
     ap.add_argument("--potential", dest="potential_path", help="potential spec file")
     ap.add_argument("--cmd", dest="command", required=True, choices=COMMANDS)
-    ap.add_argument("--kmin", dest="k_min", type=float, default=0.01)
-    ap.add_argument("--kmax", dest="k_max", type=float, default=12.0)
-    ap.add_argument("--n", dest="k_count", type=int, default=600)
-    ap.add_argument("--x", dest="x", type=float, default=0.4)
-    ap.add_argument("--y", dest="y", type=float, default=0.1)
-    ap.add_argument("--order", dest="order", type=int, default=2)
+    ap.add_argument("--kmin", dest="k_min", type=float, default=RunConfig.k_min)
+    ap.add_argument("--kmax", dest="k_max", type=float, default=RunConfig.k_max)
+    ap.add_argument("--n", dest="k_count", type=int, default=RunConfig.k_count)
+    ap.add_argument("--x", dest="x", type=float, default=RunConfig.x)
+    ap.add_argument("--y", dest="y", type=float, default=RunConfig.y)
+    ap.add_argument("--order", dest="order", type=int, default=RunConfig.order)
     ap.add_argument("--out", dest="out", help="output CSV path")
     return ap
 

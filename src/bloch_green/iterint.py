@@ -10,7 +10,7 @@ antiderivative pass per letter on a mesh of the run, seeded with the
 carried values, and climbs the one order ladder _ORDERS until its last
 carried value settles.  So the cost is linear in the word length on smooth
 runs, and a window of const intervals is exact with no ladder at all.
-Bracket values and the cell invariant are memoised on the potential.
+Each walk keeps J_1 .. J_n, its word's prefix values, memoised on the potential.
 """
 
 from __future__ import annotations
@@ -76,13 +76,6 @@ def insertions(word, sigma: int):
     rule states bracket(word)*bracket([sigma]) equals the sum over these."""
     w = SignWord.parse(word).signs
     return [SignWord(w[:i] + (sigma,) + w[i:]) for i in range(len(w) + 1)]
-
-
-def _pieces(pot, a, b) -> list:
-    """(lo, hi, segment) for each interval between the breakpoints of [a, b]."""
-    pts = pot.breakpoints(a, b).tolist()
-    return [(lo, hi, pot.segment_at(0.5 * (lo + hi))[0])
-            for lo, hi in zip(pts[:-1], pts[1:])]
 
 
 @functools.cache
@@ -157,42 +150,48 @@ def _smooth_update(pot, J, signs, run):
                           f"did not converge to {BRACKET_TOL:g}")
 
 
-def _nested_pass(pot, signs, pieces) -> np.ndarray:
+def _nested_pass(pot, signs, a, b) -> np.ndarray:
     """End values of the nested integrals J_1 .. J_n of the word `signs` over
-    the window cut into `pieces`: one walk over them, const intervals in
+    the intervals between the breakpoints of [a, b]: const intervals in
     closed form, each maximal run of smooth ones by `_smooth_update`."""
     J = [1.0] + [0.0] * len(signs)
     run = []
-    for piece in pieces:
-        if piece[2].kind != "const":
-            run.append(piece)
+    pts = pot.breakpoints(a, b).tolist()
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        seg = pot.segment_at(0.5 * (lo + hi))[0]
+        if seg.kind != "const":
+            run.append((lo, hi, seg))
             continue
         if run:
             J = _smooth_update(pot, J, signs, run)
             run = []
-        J = _const_update(J, signs, piece[2].level, piece[1] - piece[0])
+        J = _const_update(J, signs, seg.level, hi - lo)
     if run:
         J = _smooth_update(pot, J, signs, run)
     return np.array(J[1:])
 
 
+def _walk(pot, signs, a: float, b: float) -> np.ndarray:
+    """`_nested_pass` as a read-only array memoised on the potential: the
+    values of every prefix of the word over [a, b], zeros if b == a."""
+    if not (math.isfinite(a) and a <= b):
+        raise ValueError(f"need a finite window a <= b, got [{a}, {b}]")
+
+    def compute():
+        J = _nested_pass(pot, signs, a, b) if b > a else np.zeros(len(signs))
+        J.flags.writeable = False
+        return J
+
+    return pot._cached(("walk", signs, float(a), float(b)), compute)
+
+
 def bracket(pot, word, a: float, b: float) -> float:
     """Simplex integral of the given word over a <= z_1 <= ... <= z_n <= b."""
     w = SignWord.parse(word)
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise ValueError("window must be finite")
-    if b < a:
-        raise ValueError("need a <= b")
-    if b == a:
-        return 0.0
-
-    def compute():
-        val = float(_nested_pass(pot, w.signs, _pieces(pot, a, b))[-1])
-        if not math.isfinite(val):
-            raise OverflowError(f"bracket {w} over [{a}, {b}] overflowed to {val!r}")
-        return val
-
-    return pot._cached(("bracket", w.signs, float(a), float(b)), compute)
+    val = float(_walk(pot, w.signs, a, b)[-1])
+    if not math.isfinite(val):
+        raise OverflowError(f"bracket {w} over [{a}, {b}] overflowed to {val!r}")
+    return val
 
 
 def cell_Q(pot) -> float:
@@ -219,9 +218,5 @@ def alternating_tail_values(pot, a: float, b: float, first_sign: int,
     Word m starts with first_sign and alternates; these are the building
     blocks of the power-series form of the evolution matrix.
     """
-    if b < a:
-        raise ValueError("need a <= b")
-    if b == a:
-        return np.zeros(count)
     signs = tuple(first_sign if m % 2 == 0 else -first_sign for m in range(count))
-    return _nested_pass(pot, signs, _pieces(pot, a, b))
+    return _walk(pot, signs, a, b)

@@ -345,6 +345,8 @@ class PeriodicPotential:
 
     def _translates(self, p0: float, a: float, b: float) -> list:
         """The points p0 + j*L with a < p <= b."""
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"window ({a!r}, {b!r}] must be finite")
         j = self._last_translate(p0, a) + 1
         p = p0 + j * self.period
         out = []

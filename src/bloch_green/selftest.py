@@ -19,7 +19,6 @@ from .iterint import bracket, cell_Q
 from .potential import cell_constants, load_potential, square_potential
 from .transfer import evolve, monodromy, series_evolution
 
-_SQUARE = "period=1; const V=0 len=0.6; const V=1 len=0.4"
 _COSINE = "period=2; cosine amp=0.3 len=2"
 
 

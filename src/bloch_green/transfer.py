@@ -279,11 +279,8 @@ def _piece_matrix(pot, a: float, b: float, k: complex, U0: np.ndarray):
     if b == a:
         return U0
     seg, seg_start = pot.segment_at(0.5 * (a + b))
-    if seg.kind == "const":
-        return _const_drift_matrix(0.0, b - a, k) @ U0
-    if seg.kind == "linear":
-        f = -0.5 * float(seg.slope(0.0))
-        return _const_drift_matrix(f, b - a, k) @ U0
+    if seg.kind in ("const", "linear"):
+        return _const_drift_matrix(-0.5 * float(seg.slope(0.0)), b - a, k) @ U0
     return _magnus_piece(seg, seg_start, a, b, k) @ U0
 
 
@@ -349,22 +346,25 @@ def _evolve(pot, x, xprime, k, period=None) -> EvolutionMatrix:
                                beta_plus=math.sinh(half), beta_minus=math.sinh(half),
                                x=x, xprime=xprime, k=k)
     L = pot.period
-    span = x - xprime
-    nper = int(math.floor(span / L))
-    if nper >= 2 and not (_near_jump(pot, xprime) or _near_jump(pot, x)):
-        # power decomposition works with the rounded span; endpoints within
-        # rounding distance of a jump keep the exact-comparison direct path
-        rem = span - nper * L
-        if rem < 0.0:
-            nper -= 1
-            rem = span - nper * L
-        if period is None:
-            period = _span_matrix(pot, xprime + L, xprime, k)
-        U = _matrix_power(period, nper)
-        if rem > 0.0:
-            U = _span_matrix(pot, xprime + rem, xprime, k) @ U
-    else:
+    if x - xprime < 2.0 * L:
         U = _span_matrix(pot, x, xprime, k)
+    else:
+        # the period at a base m to the power n, then the march from m + nL
+        # to the literal x; m is xprime or, where that is within rounding
+        # distance of a jump, the middle of the longest segment after it
+        m = xprime
+        if _near_jump(pot, xprime):
+            i = max(range(len(pot.segments)), key=lambda j: pot.segments[j].length)
+            mid = pot._origins[i] + 0.5 * pot.segments[i].length
+            m = mid + (pot._last_translate(mid, xprime) + 1) * L
+            period = None
+        n = int(math.floor((x - m) / L))
+        n -= m + n * L > x
+        if period is None:
+            period = _span_matrix(pot, m + L, m, k)
+        U = _span_matrix(pot, x, m + n * L, k) @ _matrix_power(period, n)
+        if m > xprime:
+            U = U @ _span_matrix(pot, m, xprime, k)
     if not np.all(np.isfinite(U)):
         raise OverflowError(f"U({x}, {xprime}; k = {k}) overflowed to a non-finite value")
     return EvolutionMatrix.from_matrix(U, x, xprime, k)

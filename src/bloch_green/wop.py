@@ -1,9 +1,9 @@
 """Small-k expansion of the half-line S coefficient: `expansion_coeffs`.
 
 S_r(x, k) = 1/2 + sum_n a_n (ik)^n near k = 0.  Orders up to 2 are closed
-forms in the cell-window brackets [+-], [-+] and [+-+] and the cell
-invariant Q; orders 3 and 4 are read off the t = ik bracket series of the
-one-period matrix, whose overlap with the closed forms is checked.
+forms in Q and the brackets [+-], [-+], [+-+] over (`period_start(x)`, x],
+prefixes of the alternating tails whose t = ik series of the one-period
+matrix gives orders 3 and 4; the overlap of the two routes is checked.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .iterint import bracket, cell_Q
+from .iterint import alternating_tail_values, cell_Q
 from .potential import CellConstants, cell_constants
 from .transfer import _series_coeffs
 
@@ -79,22 +79,23 @@ def expansion_coeffs(pot, x: float, N: int, cc: CellConstants | None = None):
     if not 0 <= N <= MAX_RBAR_ORDER:
         raise ValueError(f"N must be in 0..{MAX_RBAR_ORDER}, got {N}")
     cc = _own_cell_constants(pot, cc)
-    L = pot.period
     a = np.zeros(N + 1)
     pref = math.exp(pot.V(x) - cc.V0)
     a[0] = -0.5 * pref
     if N >= 1:
-        pm = bracket(pot, "+-", x - L, x)
-        mp = bracket(pot, "-+", x - L, x)
-        a[1] = pref * (pm - mp) / (4.0 * cc.L0)
+        start = pot.period_start(x)
+        plus, minus = (alternating_tail_values(pot, start, x, sign, 3 if N <= 2 else N + 2)
+                       for sign in (1, -1))
+        if not (math.isfinite(plus[2]) and math.isfinite(minus[1])):
+            raise OverflowError(f"brackets over ({start}, {x}] overflowed")
+        a[1] = pref * (plus[1] - minus[1]) / (4.0 * cc.L0)
     if N >= 2:
-        pmp = bracket(pot, "+-+", x - L, x)
         try:
             L0_4 = cc.L0 ** 4
         except OverflowError:
             raise OverflowError(f"L0**4 of the order-2 coefficient leaves the float "
                                 f"range (cell scale L0 = {cc.L0:.6g})") from None
-        a[2] = 0.5 * (pref / cc.L0 * (math.exp(-cc.V0) * pmp
+        a[2] = 0.5 * (pref / cc.L0 * (math.exp(-cc.V0) * plus[2]
                                       - (L0_4 / 4.0 + cell_Q(pot)) / (2.0 * cc.L0)))
     if N >= 3:
         a_series = _taylor_coeffs_a(pot, x, N)

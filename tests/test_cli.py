@@ -194,6 +194,12 @@ def test_cli_argument_parsing(square_file, tmp_path):
     assert out.exists()
 
 
+def test_parser_defaults_are_the_run_config_defaults():
+    from bloch_green.cli import build_parser
+    args = build_parser().parse_args(["--cmd", "expand"])
+    assert RunConfig(**vars(args)) == RunConfig(command="expand")
+
+
 def test_selftest_passes():
     cfg = RunConfig(command="selftest")
     assert run(cfg) == EXIT_OK

@@ -211,6 +211,16 @@ def test_alternating_tails_match_whole_window_reference(pot_square):
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
+def test_windows_with_an_infinite_end_raise(pot_square):
+    for a, b in ((0.0, math.inf), (-math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            alternating_tail_values(pot_square, a, b, 1, 3)
+        with pytest.raises(ValueError, match="finite"):
+            pot_square.boundaries_in(a, b)
+        with pytest.raises(ValueError, match="finite"):
+            pot_square.breakpoints(a, b)
+
+
 def test_shuffle_rule_on_const_cells():
     # [w][sigma] = sum of the insertions of sigma into w; all terms >= 0
     for spec in CONST_CELLS:

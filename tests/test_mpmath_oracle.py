@@ -174,3 +174,45 @@ def test_expansion_coeffs_on_strong_half_cells_past_the_absolute_overlap(V):
                 assert got[n] == pytest.approx(want[n], rel=1e-11, abs=0.0), (V, x, n)
             gs = green_series(pot, x, 0.1, order=3)
             assert all(np.isfinite((gs.g_m1, gs.g_0, gs.g_1, gs.g_2, gs.g_3))), (V, x)
+
+
+def _contour_tG(cell, x, y, L0, npts=128):
+    """[t^0 .. t^4] of tG(x, y) = chi / (2(1 - S(y))), t = ik, by trapezoid
+    quadrature on the circle |t| = 0.2 / L0: S_l(y), S(y) from the
+    one-period factor product at y with the branch Z ~ k L0, and chi from
+    U(x, y) applied to the amplitude pair (S_l(y), 1 - S_l(y))."""
+    rho = mpmath.mpf("0.2") / L0
+    acc = [mpmath.mpc(0)] * 5
+    for j in range(npts):
+        zeta = rho * mpmath.expjpi(mpmath.mpf(2 * j) / npts)
+        k = -1j * zeta
+        M = cell.U(y, y - cell.L, k)
+        ap, bm, bp, am = M[0][0], M[0][1], M[1][0], M[1][1]
+        Y = (ap + am) / 2
+        Z = mpmath.sqrt((1 - Y) * (1 + Y))
+        if mpmath.re(Z / (k * L0)) < 0:
+            Z = -Z
+        sl = -2 * bm / (ap - am - 2 * bm - 2j * Z)
+        s = 1 + 2j * Z / (ap - am + bp - bm)
+        U = cell.U(x, y, k)
+        chi = (U[0][0] + U[1][0]) * sl + (U[0][1] + U[1][1]) * (1 - sl)
+        val = chi / (2 * (1 - s))
+        for n in range(5):
+            acc[n] += val / zeta ** n
+    return [float(mpmath.re(v)) / npts for v in acc]
+
+
+@pytest.mark.parametrize("V", (10, 15, 20))
+def test_green_series_on_strong_half_cells_matches_50_digit_contour(V):
+    # g_{n-1} = [t^n] tG; the endpoint form of the series keeps g_2 within
+    # 3.1e-9 relative on these cells, its worst coefficient
+    from bloch_green.green import green_series
+    pot = load_potential(f"period=1; const V=0 len=0.5; const V={V} len=0.5")
+    gs = green_series(pot, 0.77, 0.1, order=3)
+    with mpmath.workdps(50):
+        cell = ConstCell(1, 0, [(0, "0.5"), (V, "0.5")])
+        L0 = mpmath.sqrt((1 + mpmath.exp(V)) * (1 + mpmath.exp(-V))) / 2
+        want = _contour_tG(cell, mpmath.mpf("0.77"), mpmath.mpf("0.1"), L0)
+    got = (gs.g_m1, gs.g_0, gs.g_1, gs.g_2, gs.g_3)
+    for n in range(5):
+        assert got[n] == pytest.approx(want[n], rel=1e-8, abs=0.0), (V, n)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bloch_green.iterint import bracket
+from bloch_green.potential import square_potential
 from bloch_green.transfer import (BandClass, SeriesDivergenceError,
                                   SingularIntervalError, _span_matrix, branch_Z,
                                   classify_band, evolve, generalize, monodromy,
@@ -105,6 +106,25 @@ def test_multi_period_power_path(pot_square):
                 assert err < 1e-11, (spec, k, n, err)
 
 
+def test_long_spans_from_a_jump_take_the_power_path(pot_square):
+    # an end on a jump translate marches to the middle of a segment, powers
+    # the period matrix there and marches on: 1e5 periods take a few
+    # matrix squarings, not 1e5 period marches
+    import time
+    for xprime, x in ((0.6, 0.6 + 1e5), (0.3, 0.6 + 1e5), (0.6, 0.3 + 1e5)):
+        t0 = time.perf_counter()
+        U = evolve(pot_square, x, xprime, 1.0)
+        assert time.perf_counter() - t0 < 0.05, (xprime, x)
+        assert abs(U.det - 1.0) < 1e-8
+    # against the whole-span march over 1e3 periods, with a jump at either end
+    for xprime, x in ((0.6, 1000.6), (0.6, 1000.3), (0.3, 1000.6), (1.0, 1001.0)):
+        for k in (1.0, 2.5, 0.3 + 0.2j):
+            powered = evolve(pot_square, x, xprime, k).matrix
+            direct = _span_matrix(pot_square, x, xprime, complex(k))
+            err = np.abs(powered - direct).max() / np.abs(direct).max()
+            assert err < 1e-10, (xprime, x, k, err)
+
+
 def test_real_k_conjugation(pot_square, pot_cosine):
     for pot in (pot_square, pot_cosine):
         U = evolve(pot, 1.1, -0.4, 1.3)
@@ -161,9 +181,12 @@ def test_series_rejects_non_finite_input(pot_square, args):
         series_evolution(pot_square, *args)
 
 
-def test_series_makes_one_nested_pass_per_tail(pot_square, monkeypatch):
-    # both tails over a const window are exact: no order ladder
+def test_series_makes_one_nested_pass_per_tail(monkeypatch):
+    # both tails over a const window are exact: no order ladder; a fresh
+    # potential, since the tails are memoised on it, and a window seen
+    # before makes no pass at any k
     from bloch_green import iterint
+    pot = square_potential(1.0, 1.0, 0.6)
     calls = []
     real = iterint._nested_pass
 
@@ -172,7 +195,9 @@ def test_series_makes_one_nested_pass_per_tail(pot_square, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(iterint, "_nested_pass", counting)
-    series_evolution(pot_square, 1.3, 0.2, 0.3)
+    series_evolution(pot, 1.3, 0.2, 0.3)
+    assert len(calls) == 2
+    series_evolution(pot, 1.3, 0.2, 0.1 + 0.2j)
     assert len(calls) == 2
 
 
@@ -334,7 +359,6 @@ from hypothesis import example
        kim=st.floats(min_value=0.0, max_value=1.0))
 def test_unimodularity_and_composition_property(xs, kre, kim):
     # exact-factor path of the two-level cell: fast enough to fuzz
-    from bloch_green.potential import square_potential
     pot = square_potential(1.0, 1.0, 0.6)
     x1, x2, x3 = sorted(xs)
     k = complex(kre, kim)

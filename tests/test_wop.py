@@ -220,6 +220,48 @@ def test_expansion_coeffs_higher_orders_contour_stable(pot_square, cc_square):
         assert a1[n] == pytest.approx(t1[n], rel=1e-8, abs=1e-11)
 
 
+def _count_walks(monkeypatch):
+    from bloch_green import iterint
+    calls = []
+    real = iterint._nested_pass
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(iterint, "_nested_pass", counting)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["period=1; const V=0 len=0.6; const V=1 len=0.4",
+                                  "period=2; cosine amp=0.3 len=2"])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_expansion_coeffs_walks_each_tail_once(spec, N, monkeypatch):
+    # a fresh potential with its cell data warm: the closed forms read
+    # prefixes of the two tails the series walks, and a repeat walks none
+    from bloch_green.iterint import cell_Q
+    from bloch_green.potential import cell_constants, load_potential
+    pot = load_potential(spec)
+    cell_constants(pot)
+    cell_Q(pot)
+    calls = _count_walks(monkeypatch)
+    first = expansion_coeffs(pot, 0.7, N)
+    assert len(calls) == 2
+    again = expansion_coeffs(pot, 0.7, N)
+    assert len(calls) == 2
+    assert all(np.array_equal(u, v) for u, v in zip(first, again))
+
+
+def test_closed_orders_do_not_depend_on_the_tail_length():
+    # const walks carry each prefix by its own sum, so the longer tails of
+    # N = 4 give a_0 .. a_2 bit for bit
+    from bloch_green.potential import square_potential
+    for x in (0.13, 0.4, 0.6, 0.77):
+        a2, _ = expansion_coeffs(square_potential(1.0, 1.0, 0.6), x, 2)
+        a4, _ = expansion_coeffs(square_potential(1.0, 1.0, 0.6), x, 4)
+        assert a4[:3].tolist() == a2.tolist(), x
+
+
 @pytest.mark.parametrize("N", [-1, 5, 70])
 def test_expansion_coeffs_rejects_orders_out_of_range(pot_square, N):
     with pytest.raises(ValueError, match="N must be in"):
