@@ -61,6 +61,10 @@ class RunConfig:
                 raise ValueError("need kmin < kmax")
             if self.k_count < 2:
                 raise ValueError("need n >= 2")
+            if self.command != "bands" and np.any(_k_grid(self) == 0.0):
+                raise ValueError(f"k = 0 is on the grid; {self.command} needs k != 0")
+        if self.command == "expand" and self.k_count < 1:
+            raise ValueError("need n >= 1")
         if not 0 <= self.order <= MAX_SERIES_ORDER:
             raise ValueError(f"order must be in 0..{MAX_SERIES_ORDER}")
 

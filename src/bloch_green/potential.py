@@ -9,6 +9,7 @@ into ramps.  The drift is f = -V'/2.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 import os
@@ -128,45 +129,114 @@ class CosineSegment:
         return 2.0 * abs(self.amp)
 
 
+def _pchip_coefficients(xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Power-basis coefficients (c0..c3, highest first) of the monotone
+    piecewise cubic through (xs, vs), one column per interval, in the local
+    coordinate h = s - xs[i] (Fritsch & Carlson, SIAM J. Numer. Anal. 17
+    (1980)).  Interior slopes are Fritsch & Butland's weighted harmonic mean
+    of the neighbouring secants (SIAM J. Sci. Stat. Comput. 5 (1984)), zero
+    where the secants change sign or one is flat; end slopes are the
+    shape-preserving three-point rule.  This is the PCHIP of scipy and
+    MATLAB."""
+    h = np.diff(xs)
+    m = np.diff(vs) / h
+    d = np.full(vs.shape, m[0])
+    if xs.size > 2:
+        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+        ok = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
+        d[1:-1] = 0.0
+        d[1:-1][ok] = (w1 + w2)[ok] / (w1[ok] / m[:-1][ok] + w2[ok] / m[1:][ok])
+        for end, h0, h1, m0, m1 in ((0, h[0], h[1], m[0], m[1]),
+                                    (-1, h[-1], h[-2], m[-1], m[-2])):
+            slope = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            if np.sign(slope) != np.sign(m0):
+                slope = 0.0
+            elif np.sign(m0) != np.sign(m1) and abs(slope) > 3.0 * abs(m0):
+                slope = 3.0 * m0
+            d[end] = slope
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    return np.array([t / h, (m - d[:-1]) / h - t, d[:-1], vs[:-1]])
+
+
 @dataclass(frozen=True)
 class TableSegment:
+    """Samples (xs, vs) spanning [0, length], joined by the monotone
+    piecewise cubic of `_pchip_coefficients`."""
     xs: tuple
     vs: tuple
     length: float
     kind = "table"
-    _interp: object = field(default=None, compare=False, repr=False)
-    _slope: object = field(default=None, compare=False, repr=False)
-    _curvature: object = field(default=None, compare=False, repr=False)
+    # interior sample points: floats for bisect on scalars, an array for
+    # searchsorted on arrays
+    _knots: tuple = field(default=(), compare=False, repr=False)
+    _inner: object = field(default=None, compare=False, repr=False)
+    # per derivative order d: rows xs[:-1], then the Horner coefficients of
+    # the d-th derivative, highest power first; scaled once here, since
+    # scaling the gathered value coefficients on each call made `slope`
+    # slower than scipy's compiled evaluation
+    _tables: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
-        from scipy.interpolate import PchipInterpolator
-
         xs = np.asarray(self.xs, dtype=float)
         vs = np.asarray(self.vs, dtype=float)
         if xs.size < 2 or np.any(np.diff(xs) <= 0):
             raise PotentialError("table segment needs strictly increasing sample points")
-        object.__setattr__(self, "_interp", PchipInterpolator(xs, vs))
-        object.__setattr__(self, "_slope", self._interp.derivative())
-        object.__setattr__(self, "_curvature", self._interp.derivative(2))
+        tol = 1e-12 * self.length
+        if abs(xs[0]) > tol or abs(xs[-1] - self.length) > tol:
+            raise PotentialError(f"table samples span [{xs[0]!r}, {xs[-1]!r}], "
+                                 f"not the segment [0, {self.length!r}]")
+        c0, c1, c2, c3 = _pchip_coefficients(xs, vs)
+        x0 = xs[:-1]
+        object.__setattr__(self, "_knots", tuple(xs[1:-1].tolist()))
+        object.__setattr__(self, "_inner", xs[1:-1].copy())
+        object.__setattr__(self, "_tables", (np.array([x0, c0, c1, c2, c3]),
+                                             np.array([x0, 3.0 * c0, 2.0 * c1, c2]),
+                                             np.array([x0, 6.0 * c0, 2.0 * c1])))
+
+    def _horner(self, s, order):
+        """The order-th derivative at s: interval i counts the interior knots
+        <= s, so no point falls outside the first and last intervals; one
+        gather of column i, then Horner's rule in h = s - xs[i]."""
+        table = self._tables[order]
+        if not isinstance(s, np.ndarray) or s.ndim == 0:
+            if np.ndim(s) == 0:
+                # the same operations on Python floats: scalar and array agree
+                s = float(s)
+                x0, out, *rest = table[:, bisect.bisect_right(self._knots, s)].tolist()
+                h = s - x0
+                for c in rest:
+                    out = out * h + c
+                return out
+            s = np.asarray(s, dtype=float)
+        # the Magnus kernel calls this per segment piece: keep it to a few
+        # array operations, in place
+        rows = table.take(np.searchsorted(self._inner, s, side="right"), axis=1)
+        h = s - rows[0]
+        out = rows[1] * h
+        for j in range(2, len(rows) - 1):
+            out += rows[j]
+            out *= h
+        out += rows[-1]
+        return out
 
     def value(self, s):
-        return self._interp(np.asarray(s))
+        return self._horner(s, 0)
 
     def slope(self, s):
-        return self._slope(np.asarray(s))
+        return self._horner(s, 1)
 
     def curvature(self, s):
-        return self._curvature(np.asarray(s))
+        return self._horner(s, 2)
 
     @property
     def knots(self):
         # the monotone cubic is only C1 at its sample points; quadrature
         # panels must not straddle them
-        return tuple(float(t) for t in self.xs[1:-1])
+        return self._knots
 
     @property
     def v_range(self):
-        # the monotone cubic does not overshoot its samples
+        # on [0, length] the monotone cubic does not overshoot its samples
         return max(self.vs) - min(self.vs)
 
 
@@ -507,7 +577,10 @@ def load_potential(text: str, base_dir: str = ".") -> PeriodicPotential:
                 raise ParseError(f"table file {path!r} needs two columns (x, V)", lineno)
             if not np.all(np.isfinite(data)):
                 raise ParseError(f"non-finite entry in table file {path!r}", lineno)
-            seg = TableSegment(tuple(data[:, 0]), tuple(data[:, 1]), length)
+            try:
+                seg = TableSegment(tuple(data[:, 0]), tuple(data[:, 1]), length)
+            except PotentialError as exc:
+                raise ParseError(f"table file {path!r}: {exc}", lineno) from None
         if kv:
             raise ParseError(f"unexpected keys {sorted(kv)}", lineno)
         if length <= 0:

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -135,9 +136,26 @@ def test_config_errors(square_file, tmp_path):
         RunConfig(command="compare", potential_path=square_file, out="x.csv",
                   order=5),
         RunConfig(command="nope", potential_path=square_file, out="x.csv"),
+        # G and the series are singular at k = 0: no grid may hold it
+        RunConfig(command="green", potential_path=square_file, out="x.csv", k_min=0.0),
+        RunConfig(command="green", potential_path=square_file, out="x.csv",
+                  k_min=-1.0, k_max=1.0, k_count=3),
+        RunConfig(command="compare", potential_path=square_file, out="x.csv", k_min=0.0),
+        RunConfig(command="compare", potential_path=square_file, out="x.csv",
+                  k_min=-1.0, k_max=1.0, k_count=3),
+        RunConfig(command="expand", potential_path=square_file, out="x.csv", k_count=0),
+        RunConfig(command="expand", potential_path=square_file, out="x.csv", k_count=-3),
     ]
     for cfg in bad:
-        assert run(cfg) == EXIT_CONFIG
+        assert run(cfg) == EXIT_CONFIG, cfg
+
+
+def test_bands_accepts_k_zero(square_file, tmp_path):
+    out = tmp_path / "bands.csv"
+    cfg = RunConfig(command="bands", potential_path=square_file, out=str(out),
+                    k_min=-1.0, k_max=1.0, k_count=3)
+    assert run(cfg) == EXIT_OK
+    assert [r[0] for r in read_rows(out)[1]] == ["-1", "0", "1"]
 
 
 def test_unreadable_and_invalid_potential(tmp_path):
@@ -322,3 +340,73 @@ def test_compare_order_reaches_series_max(square_file, tmp_path):
     cfg = RunConfig(command="compare", potential_path=square_file,
                     out=str(tmp_path / "o.csv"), order=4)
     assert run(cfg) == EXIT_CONFIG
+
+
+def write_mixed_cell(tmp_path):
+    """The field-mixed cell of test_base_point as a potential file and its
+    table CSV, floats written exactly."""
+    from test_base_point import mixed_cell
+
+    pot = mixed_cell()
+    const, cosine, linear, table = pot.segments
+    (tmp_path / "table.csv").write_text(
+        "".join(f"{float(x)!r},{float(v)!r}\n" for x, v in zip(table.xs, table.vs)))
+    path = tmp_path / "mixed.pot"
+    path.write_text(
+        f"period={pot.period!r}\n"
+        f"const V={const.level!r} len={const.length!r}\n"
+        f"cosine amp={cosine.amp!r} phase={cosine.phase!r} len={cosine.length!r}\n"
+        f"linear V0={linear.v_start!r} V1={linear.v_end!r} len={linear.length!r}\n"
+        f"table file=table.csv len={table.length!r}\n")
+    return path
+
+
+# a meta-path finder that fails every scipy import: the run has only numpy
+_BLOCK_SCIPY = """
+import importlib.abc, sys
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"import of {name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+"""
+
+_RUN_ALL = """
+import json, sys
+from bloch_green.cli import RunConfig, run
+
+pot, outdir = sys.argv[1:]
+codes = {"selftest": run(RunConfig(command="selftest"))}
+for command, n in (("bands", 40), ("green", 40), ("expand", 8)):
+    codes[command] = run(RunConfig(command=command, potential_path=pot, k_count=n,
+                                   out=f"{outdir}/{command}.csv"))
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # scipy is a test dependency only: selftest and every command on a
+    # table cell run with scipy imports blocked, and write the same bytes
+    pot = write_mixed_cell(tmp_path)
+    runs = {}
+    for name, prelude in (("blocked", _BLOCK_SCIPY), ("open", "")):
+        outdir = tmp_path / name
+        outdir.mkdir()
+        proc = subprocess.run([sys.executable, "-c", prelude + _RUN_ALL, str(pot), str(outdir)],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 0, proc.stderr
+        *selftest, last = proc.stdout.splitlines()
+        result = json.loads(last)
+        assert result["codes"] == {"selftest": EXIT_OK, "bands": EXIT_OK,
+                                   "green": EXIT_OK, "expand": EXIT_OK}, proc.stderr
+        assert sum(line.startswith("PASS") for line in selftest) == 12
+        runs[name] = (selftest, result["scipy"],
+                      {c: (outdir / f"{c}.csv").read_bytes() for c in ("bands", "green", "expand")})
+    assert runs["blocked"][1] == runs["open"][1] == []
+    assert runs["blocked"][0] == runs["open"][0]
+    assert runs["blocked"][2] == runs["open"][2]

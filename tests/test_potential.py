@@ -6,8 +6,8 @@ import pytest
 from bloch_green.iterint import bracket
 from bloch_green.potential import (CellConstants, ConstSegment, CosineSegment,
                                    LinearSegment, ParseError, PeriodicPotential,
-                                   PotentialError, cell_constants, load_potential,
-                                   square_potential)
+                                   PotentialError, TableSegment, cell_constants,
+                                   load_potential, square_potential)
 
 A, B, C = 0.6, 0.4, 1.0
 
@@ -127,6 +127,69 @@ def test_parse_reports_bad_float_and_unreadable_table(tmp_path):
     path.write_text("0.0\n0.5\n1.0\n")
     with pytest.raises(ParseError, match="two columns"):
         load_potential(f"period=1; table file={path} len=1")
+
+
+@pytest.mark.parametrize("rows", ["0.0,0.0\n0.2,1.0\n0.4,0.0\n",   # ends short of len
+                                  "0.1,0.0\n0.5,1.0\n1.0,0.0\n",   # starts after 0
+                                  "-0.1,0.0\n0.5,1.0\n1.0,0.0\n",  # starts before 0
+                                  "0.0,0.0\n0.5,1.0\n1.2,0.0\n"])  # runs past len
+def test_parse_rejects_table_not_spanning_its_segment(tmp_path, rows):
+    # the interpolant would otherwise be extrapolated over the rest of the
+    # segment: samples 0, 0.2, 0.4 of len=1 reached V = -18.3 at s = 0.99
+    path = tmp_path / "profile.csv"
+    path.write_text(rows)
+    with pytest.raises(ParseError, match=r"line 1: table file .*profile\.csv.*span"):
+        load_potential(f"period=1; table file={path} len=1")
+    # within 1e-12 len of the ends is a span
+    path.write_text("0.0,0.0\n0.5,1.0\n0.9999999999999,0.0\n")
+    assert load_potential(f"period=1; table file={path} len=1").V(0.5) == 1.0
+
+
+def random_table(rng):
+    """Samples on [0, len] with uneven spacing, sign changes, monotone runs
+    and flat stretches; len from 0.1 to 10 and value steps from 1e-3 to 10."""
+    n = int(rng.integers(2, 40))
+    length = 10.0 ** rng.uniform(-1.0, 1.0)
+    gaps = rng.uniform(0.05, 1.0, n - 1)
+    xs = length * np.concatenate(([0.0], np.cumsum(gaps) / gaps.sum()))
+    xs[-1] = length
+    vs = 10.0 ** rng.uniform(-3.0, 1.0) * rng.normal(size=n)
+    if rng.uniform() < 0.3:
+        vs = np.cumsum(np.abs(vs))
+    for j in np.flatnonzero(rng.uniform(size=n - 1) < 0.25):
+        vs[j + 1] = vs[j]
+    return xs, vs, length
+
+
+def test_table_interpolant_matches_scipy_pchip():
+    from scipy.interpolate import PchipInterpolator
+
+    bounds = (1e-13, 1e-11, 1e-10)  # value, slope, curvature
+    for seed in range(200):
+        rng = np.random.default_rng([seed, 23])
+        xs, vs, length = random_table(rng)
+        seg = TableSegment(tuple(xs), tuple(vs), length)
+        ref = PchipInterpolator(xs, vs)
+        s = np.concatenate((xs, rng.uniform(0.0, length, 64)))
+        for order, (evaluate, bound) in enumerate(zip(
+                (seg.value, seg.slope, seg.curvature), bounds)):
+            want = ref(s, order)
+            got = evaluate(s)
+            err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+            assert err.max() <= bound, (seed, order, err.max())
+            # the scalar path repeats the array path's operations
+            assert [evaluate(t) for t in s[::7]] == got[::7].tolist(), (seed, order)
+
+
+def test_table_interpolant_is_monotone_between_samples():
+    xs = np.array([0.0, 0.1, 0.15, 0.5, 0.9, 1.0])
+    vs = np.array([0.0, 0.0, 1.0, 1.2, 3.0, 3.0])
+    seg = TableSegment(tuple(xs), tuple(vs), 1.0)
+    s = np.linspace(0.0, 1.0, 2001)
+    v = seg.value(s)
+    assert np.all(np.diff(v) >= -1e-15)
+    assert v.min() == 0.0 and v.max() == 3.0
+    assert np.all(seg.value(np.linspace(0.0, 0.1, 11)) == 0.0)  # flat stretch stays flat
 
 
 def test_segment_lengths_must_sum_to_period():
